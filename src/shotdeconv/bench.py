@@ -21,6 +21,7 @@ from .estimator import (
     EstimatorConfig,
     XGrid,
     adaptive_C,
+    default_bin_width,
     estimate_density,
     theorem_cutoff,
     theorem_threshold,
@@ -148,7 +149,7 @@ class McReport:
         object.__setattr__(self, "per_run_errors", errors)
 
 
-def _tier_config(params, n, cutoff, renormalize, x_grid, bin_width):
+def _tier_config(params, cutoff, renormalize, x_grid, bin_width):
     return EstimatorConfig(
         ratio=params.ratio,
         cutoff=cutoff,
@@ -226,7 +227,7 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
         bin_width = None
         if bin_widths and n in bin_widths and bin_widths[n] is not None:
             bin_width = float(bin_widths[n])
-        config = _tier_config(params, n, cutoff, renorm, x_grid, bin_width)
+        config = _tier_config(params, cutoff, renorm, x_grid, bin_width)
         tasks = [
             (params, marks, n, derive_seed(base_seed, 0, run), config)
             for run in range(runs)
@@ -360,8 +361,7 @@ def run_lower_bound_audit(params, marks, smoothness, n=100_000, seed=20_240,
     series = simulate_series(params, marks, int(n), seed=seed)
     cut = theorem_cutoff(int(n), smoothness.s, params.ratio)
     kappa = theorem_threshold(cut, adaptive_C(series.values), params.ratio)
-    span = float(series.values.max() - series.values.min())
-    hist = build_histogram(series.values, span / 4096 if span > 0 else 1.0)
+    hist = build_histogram(series.values, default_bin_width(series.values))
     ecf = ecf_from_histogram(hist, u_step, half)
     abs_phi_pos = np.abs(ecf.phi[half:])
     below = np.nonzero(abs_phi_pos <= kappa)[0]

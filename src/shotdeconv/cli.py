@@ -202,12 +202,18 @@ def _read_series_file(path):
             data = handle.read()
         if len(data) == 0 or len(data) % 8:
             _fail(f"{path} is not a whole number of little-endian float64 values")
-        return np.frombuffer(data, dtype="<f8").copy()
-    try:
-        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
-    except (OSError, ValueError) as exc:
-        _fail(f"could not read series CSV {path}: {exc}")
-    return np.asarray(values, dtype=float)
+        values = np.frombuffer(data, dtype="<f8").copy()
+    else:
+        try:
+            values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
+        except (OSError, ValueError) as exc:
+            _fail(f"could not read series CSV {path}: {exc}")
+        values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(np.argmin(finite)) + 1
+        _fail(f"{path} holds a non-finite value (NaN or infinity) at series position {first}")
+    return values
 
 
 def _cmd_simulate(args):

@@ -355,6 +355,12 @@ _INVERSION_POINTS = 1024
 _DEFAULT_X_COUNT = 2048
 
 
+def default_bin_width(values):
+    """Histogram bin width splitting the sample range into 4096 bins (1.0 when constant)."""
+    span = float(values.max() - values.min())
+    return span / _DEFAULT_BINS if span > 0 else 1.0
+
+
 def _default_x_grid(values, ratio):
     hi = 1.2 * float(np.quantile(values, 0.999)) / ratio
     if not (math.isfinite(hi) and hi > 0):
@@ -379,11 +385,7 @@ def estimate_density(sample, config):
     values = np.asarray(getattr(sample, "values", sample), dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise InvalidParameterError("sample must be a nonempty 1-d array of values")
-    if config.bin_width is not None:
-        bin_width = config.bin_width
-    else:
-        span = float(values.max() - values.min())
-        bin_width = span / _DEFAULT_BINS if span > 0 else 1.0
+    bin_width = config.bin_width if config.bin_width is not None else default_bin_width(values)
     hist = build_histogram(values, bin_width)
     u_step = config.cutoff / _INVERSION_POINTS
     grid = ecf_from_histogram(hist, u_step, _INVERSION_POINTS)

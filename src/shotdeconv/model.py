@@ -193,13 +193,24 @@ class GaussianMixture:
         return left + right
 
     def sample(self, rng, size):
-        """Draw `size` marks using `rng` (component choice, then normal draw)."""
+        """Draw `size` marks using `rng` (component choice, then normal draw).
+
+        Component k is the number of cumulative weights ``cum[j] <= u`` over
+        j < K-1, which is ``searchsorted(cum, u, "right")`` capped at K-1:
+        zero-weight components are never chosen, and a ``u`` at or above a
+        last cumulative weight that rounds below 1 falls to the last one.
+        """
         cum = np.cumsum(self.weights)
-        comp = np.searchsorted(cum, rng.random(size), side="right")
-        comp = np.minimum(comp, len(self.weights) - 1)
-        mu = np.asarray(self.means)[comp]
-        sd = np.asarray(self.sds)[comp]
-        return mu + sd * rng.standard_normal(size)
+        u = rng.random(size)
+        comp = np.zeros(u.shape, dtype=np.intp)
+        for edge in cum[:-1]:
+            comp += u >= edge
+        del u
+        # sd * z + mu, in place: the same IEEE result as mu + sd * z
+        out = rng.standard_normal(size)
+        out *= np.take(self.sds, comp)
+        out += np.take(self.means, comp)
+        return out
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,15 @@ def _innovations(params, marks, count, rng):
     lambda_norm to lambda_norm * min(1, 40/alpha_norm) with ages uniform on
     the surviving range, leaving the innovation law unchanged to within
     that floor.
+
+    The random stream is fixed by this order of draws. The intervals are cut
+    into chunks of ``max(1, int(8e6 / max(lam_eff, 1)))``, with ``lam_eff``
+    the thinned count above; per chunk, in this order, come the Poisson
+    counts of all its intervals, then the marks of all its pulses
+    (``marks.sample``), then their uniform ages. Changing the chunk size,
+    this order, any draw's size, or the float operations that turn the draws
+    into innovations changes every seeded series, and must be announced as
+    a stream change.
     """
     cap = min(1.0, _AGE_CUTOFF / params.alpha_norm)
     lam_eff = params.lambda_norm * cap
@@ -187,11 +196,17 @@ def _innovations(params, marks, count, rng):
         block = min(chunk, count - pos)
         counts = rng.poisson(lam_eff, size=block)
         total = int(counts.sum())
-        amplitudes = marks.sample(rng, total)
-        ages = rng.random(total) * cap
-        contrib = amplitudes * np.exp(-params.alpha_norm * ages)
+        contrib = marks.sample(rng, total)
+        # contrib *= exp(-alpha_norm * (U * cap)), worked in place
+        ages = rng.random(total)
+        ages *= cap
+        ages *= -params.alpha_norm
+        np.exp(ages, out=ages)
+        contrib *= ages
+        del ages
         owner = np.repeat(np.arange(block), counts)
         out[pos : pos + block] = np.bincount(owner, weights=contrib, minlength=block)
+        del owner, contrib
         pos += block
     return out
 

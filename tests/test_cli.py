@@ -333,3 +333,32 @@ class TestHill:
         )
         assert cli.main(["hill", "--config", str(config)]) == 2
         capsys.readouterr()
+
+
+class TestNonFiniteInput:
+    """Series files with NaN or infinity are input errors for every reader."""
+
+    @staticmethod
+    def _write(tmp_path, suffix, bad):
+        values = np.linspace(0.5, 3.0, 50)
+        values[17] = bad
+        path = tmp_path / f"series.{suffix}"
+        if suffix == "f64le":
+            path.write_bytes(values.astype("<f8").tobytes())
+        else:
+            rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist(), start=1))
+            path.write_text("index,value\n" + rows, encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", [["estimate", "--cutoff", "0.8"], ["hill"]])
+    @pytest.mark.parametrize("suffix", ["f64le", "csv"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_exits_2_with_message(self, tmp_path, capsys, command, suffix, bad):
+        config = _gamma_config(tmp_path)
+        path = self._write(tmp_path, suffix, bad)
+        code = cli.main([command[0], "--config", str(config), "--in", str(path),
+                         "--out", str(tmp_path / "o"), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "non-finite" in captured.err and "position 18" in captured.err
+        assert "ratio_estimate" not in captured.out

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shotdeconv.errors import InvalidParameterError, NumericalFailure
 from shotdeconv.model import (
@@ -141,6 +143,44 @@ class TestGaussianMixture:
     def test_empty(self):
         with pytest.raises(InvalidParameterError):
             GaussianMixture((), (), ())
+
+
+class _ScriptedRng:
+    """Stand-in generator that returns given draws and logs each call."""
+
+    def __init__(self, u, z):
+        self.u, self.z, self.calls = u, z, []
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.u.copy()
+
+    def standard_normal(self, size):
+        self.calls.append(("standard_normal", size))
+        return self.z.copy()
+
+
+class TestMixtureComponentChoice:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 4), min_size=1, max_size=10).filter(lambda c: sum(c) > 0),
+        extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
+    )
+    @example(counts=[1] * 10, extra=[])  # cumulative sum 0.9999999999999999
+    @example(counts=[0, 1, 0, 0, 2, 0], extra=[])
+    def test_matches_capped_searchsorted(self, counts, extra):
+        weights = tuple(c / sum(counts) for c in counts)
+        k = len(weights)
+        mixture = GaussianMixture(weights, tuple(float(i) for i in range(k)), (1.0,) * k)
+        cum = np.cumsum(weights)
+        # every cumulative weight, its float neighbours, both ends of [0, 1)
+        edges = np.concatenate([cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf)])
+        u = np.concatenate([edges[(edges >= 0.0) & (edges < 1.0)], [0.0, np.nextafter(1.0, 0.0)], extra])
+        rng = _ScriptedRng(u, np.zeros(u.size))
+        # with z = 0 each mark is its component's mean, which is the index
+        chosen = mixture.sample(rng, u.size)
+        assert rng.calls == [("random", u.size), ("standard_normal", u.size)]
+        assert np.array_equal(chosen, np.minimum(np.searchsorted(cum, u, side="right"), k - 1))
 
 
 class TestExponential:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -144,6 +145,79 @@ class TestSimulateSeries:
     def test_explicit_burn_in_recorded(self, ref_params, ref_marks):
         series = simulate_series(ref_params, ref_marks, 10, burn_in=5, seed=1)
         assert series.burn_in == 5
+
+
+def _sha256(values):
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+_REF_MARKS = GaussianMixture((0.3, 0.5, 0.2), (4.0, 12.0, 22.0), (1.0, 1.0, 0.5))
+_ZERO_WEIGHT_MARKS = GaussianMixture((0.4, 0.0, 0.6), (2.0, 7.0, 5.0), (0.5, 1.0, 2.0))
+
+
+class TestStreamPinning:
+    """Digests of seeded outputs, pinning the random stream and float order.
+
+    Any change to the generator calls, their order or sizes, the chunking,
+    or the floating-point operations that turn draws into observations
+    changes these bytes. Such a change must be announced as a stream change
+    and the digests recorded again. The innovations go through numpy's
+    float64 ``exp``, whose last bit can depend on the numpy build and the
+    CPU's vector extensions; these were recorded with numpy 2.4 on x86-64
+    with AVX-512.
+    """
+
+    @pytest.mark.parametrize(
+        "params, marks, seed, digest",
+        [
+            (
+                ModelParams(100.0, 80.0, 1.25),
+                _REF_MARKS,
+                2024,
+                "b599becdd51ccb7cdcf85d595d77f9c376a26001a3b1b1b82c9b54a728056aaf",
+            ),
+            (
+                ModelParams(2.0, 1.0, 2.0),
+                Exponential(1.0),
+                7,
+                "f48b94915fbead7a7ece068b7a773c21f3d314ad9c0d310084a64da3d7538c7d",
+            ),
+            (
+                ModelParams(5.0, 2.0, 2.5),
+                _ZERO_WEIGHT_MARKS,
+                11,
+                "6019bb357f9632b788bae5f70390451b62da0c627489415d027ee736d5453e85",
+            ),
+        ],
+        ids=["reference-mixture", "gamma", "zero-weight-mixture"],
+    )
+    def test_series_digest(self, params, marks, seed, digest):
+        assert _sha256(simulate_series(params, marks, 20_000, seed=seed).values) == digest
+
+    @pytest.mark.parametrize(
+        "marks, seed, digest",
+        [
+            (
+                _REF_MARKS,
+                3,
+                "f6452ac906c64dc5d559017ea781bb1e914e99698e5c4021dbdd256ec0ae8f9c",
+            ),
+            (
+                _ZERO_WEIGHT_MARKS,
+                5,
+                "3193158979534beedbd65b99492b3a88c9b67dbafc7c3465696cd0d0641b2aa4",
+            ),
+            (
+                # ten weights of 0.1, whose cumulative sum ends below 1
+                GaussianMixture((0.1,) * 10, tuple(float(i) for i in range(10)), (1.0,) * 10),
+                9,
+                "1dea3a1b6c897645966af75c6cbec54cff14bd47ed75239b0360b443016fd8f0",
+            ),
+        ],
+        ids=["reference-mixture", "zero-weight-mixture", "tenths-mixture"],
+    )
+    def test_mixture_sample_digest(self, marks, seed, digest):
+        assert _sha256(marks.sample(np.random.default_rng(seed), 20_000)) == digest
 
 
 class TestSimulateTrace:
