@@ -21,12 +21,12 @@ from .estimator import (
     EstimatorConfig,
     XGrid,
     adaptive_C,
-    default_bin_width,
     estimate_density,
     theorem_cutoff,
     theorem_threshold,
 )
 from .model import cf_lower_bound, check_smoothness, marks_to_json, true_shot_cf
+from .serialize import format_float
 from .simulate import derive_seed, simulate_series
 
 __all__ = [
@@ -361,7 +361,7 @@ def run_lower_bound_audit(params, marks, smoothness, n=100_000, seed=20_240,
     series = simulate_series(params, marks, int(n), seed=seed)
     cut = theorem_cutoff(int(n), smoothness.s, params.ratio)
     kappa = theorem_threshold(cut, adaptive_C(series.values), params.ratio)
-    hist = build_histogram(series.values, default_bin_width(series.values))
+    hist = build_histogram(series.values)
     ecf = ecf_from_histogram(hist, u_step, half)
     abs_phi_pos = np.abs(ecf.phi[half:])
     below = np.nonzero(abs_phi_pos <= kappa)[0]
@@ -378,15 +378,11 @@ def run_lower_bound_audit(params, marks, smoothness, n=100_000, seed=20_240,
     }
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 def reports_to_csv(reports):
     """CSV text for a report list: header ``n,runs,mean_sup_error,variance``."""
     lines = ["n,runs,mean_sup_error,variance"]
     for r in reports:
-        lines.append(f"{r.n},{r.runs},{_fmt(r.mean_sup_error)},{_fmt(r.variance_sup_error)}")
+        lines.append(f"{r.n},{r.runs},{format_float(r.mean_sup_error)},{format_float(r.variance_sup_error)}")
     return "\n".join(lines) + "\n"
 
 
@@ -395,7 +391,7 @@ def per_run_errors_to_csv(reports):
     lines = ["n,run,sup_error"]
     for r in reports:
         for run, err in enumerate(r.per_run_errors):
-            lines.append(f"{r.n},{run},{_fmt(err)}")
+            lines.append(f"{r.n},{run},{format_float(err)}")
     return "\n".join(lines) + "\n"
 
 

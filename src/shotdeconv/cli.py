@@ -30,6 +30,7 @@ from .errors import InvalidParameterError, NumericalFailure, ResourceLimitError
 from .estimator import (
     EstimatorConfig,
     XGrid,
+    default_hill_k,
     density_to_csv,
     estimate_density,
     hill_ratio,
@@ -337,7 +338,7 @@ def _cmd_hill(args):
         n = _resolve_n(raw, args)
         values = simulate_series(params, marks, n, seed=seed).values
     estimate = hill_ratio(values, k=args.k)
-    k_used = args.k if args.k is not None else min(max(int(values.size**0.6), 1), values.size - 1)
+    k_used = args.k if args.k is not None else default_hill_k(values.size)
     print(f"ratio_estimate={format_float(estimate)} k={k_used}")
     if args.out is not None:
         out = _resolve_out_dir(raw, args)

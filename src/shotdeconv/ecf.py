@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.signal import czt
+from scipy.signal import CZT
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .model import true_shot_cf
@@ -32,13 +32,35 @@ __all__ = [
 
 # hard cap on the internal FFT length used by the chirp-z transform
 _FFT_CAP = 2**28
+# the default histogram splits the sample range into this many bins
+_DEFAULT_BINS = 4096
 
 
-def _sample_values(sample):
+def checked_sample(sample):
+    """The sample check at the library boundary: nonempty, 1-d and finite.
+
+    Finiteness is read from the extremes, which callers need anyway: NaN
+    propagates into both and an infinity is one of them, so the check costs
+    no pass over the sample beyond its minimum and maximum.
+
+    Returns
+    -------
+    (ndarray, float, float)
+        The values as float64, their minimum and their maximum.
+
+    Raises
+    ------
+    InvalidParameterError
+        If the sample is not a nonempty 1-d array of finite values.
+    """
     values = np.asarray(getattr(sample, "values", sample), dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise InvalidParameterError("sample must be a nonempty 1-d array of values")
-    return values
+    lo = float(values.min())
+    hi = float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidParameterError("sample must hold only finite values (no NaN or infinity)")
+    return values, lo, hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +107,7 @@ class Histogram:
         return (self.l_min + np.arange(self.mass.size) + 0.5) * self.bin_width
 
 
-def build_histogram(sample, bin_width):
+def build_histogram(sample, bin_width=None):
     """Bin a sample into the regular integer-indexed histogram.
 
     Bins are right-open, the last one right-closed; a value exactly on the
@@ -94,19 +116,22 @@ def build_histogram(sample, bin_width):
     Parameters
     ----------
     sample : SampleSeries or array_like
-    bin_width : float
-        Strictly positive.
+        Finite values (see `checked_sample`).
+    bin_width : float or None, optional
+        Strictly positive; None splits the sample range into 4096 bins
+        (width 1.0 when the sample is constant).
 
     Returns
     -------
     Histogram
     """
-    values = _sample_values(sample)
+    values, lo, hi = checked_sample(sample)
+    if bin_width is None:
+        span = hi - lo
+        bin_width = span / _DEFAULT_BINS if span > 0 else 1.0
     width = float(bin_width)
     if not (math.isfinite(width) and width > 0):
         raise InvalidParameterError(f"bin_width must be > 0, got {width}")
-    lo = float(values.min())
-    hi = float(values.max())
     l_min = math.floor(lo / width)
     l_max = max(math.ceil(hi / width) - 1, l_min)
     nbins = l_max - l_min + 1
@@ -115,9 +140,15 @@ def build_histogram(sample, bin_width):
             f"sample range {hi - lo:g} at bin_width {width:g} needs {nbins} bins "
             f"(cap {_FFT_CAP}); increase bin_width"
         )
-    idx = np.floor(values / width).astype(np.int64) - l_min
-    idx = np.clip(idx, 0, nbins - 1)
-    mass = np.bincount(idx, minlength=nbins) / values.size
+    # floor(x / w) - l_min in one buffer; the subtraction is exact in
+    # floating point because both terms are integers at most nbins apart
+    offsets = np.divide(values, width)
+    np.floor(offsets, out=offsets)
+    offsets -= float(l_min)
+    counts = np.bincount(offsets.astype(np.intp), minlength=nbins + 1)
+    # index nbins holds only values exactly on the top edge hi = (l_max+1)*w
+    counts[nbins - 1] += counts[nbins]
+    mass = counts[:nbins] / values.size
     return Histogram(width, l_min, l_max, mass)
 
 
@@ -190,7 +221,7 @@ def ecf_direct(sample, u):
         ``(phi, phi_prime)`` where ``phi = mean(exp(i u X))`` and
         ``phi_prime = mean(i X exp(i u X))``.
     """
-    values = _sample_values(sample)
+    values, _, _ = checked_sample(sample)
     u_arr = np.asarray(u, dtype=float)
     scalar = u_arr.ndim == 0
     u_flat = np.atleast_1d(u_arr).ravel()
@@ -255,9 +286,10 @@ def ecf_from_histogram(hist, u_step, half_count):
     omega = step * hist.bin_width
     w = np.exp(1j * omega)
     a = np.exp(1j * omega * half)
-    centers = hist.centers
-    base = czt(hist.mass, m=size, w=w, a=a)
-    dbase = czt(hist.mass * 1j * centers, m=size, w=w, a=a)
+    # one plan serves both transforms; scipy's czt() builds this same plan per call
+    transform = CZT(n_bins, m=size, w=w, a=a)
+    base = transform(hist.mass)
+    dbase = transform(hist.mass * 1j * hist.centers)
     u = np.arange(-half, half + 1) * step
     phase = np.exp(1j * u * hist.bin_width * (hist.l_min + 0.5))
     return EcfGrid(step, half, base * phase, dbase * phase)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import czt
 
-from .ecf import EcfGrid, build_histogram, ecf_from_histogram
+from .ecf import EcfGrid, build_histogram, checked_sample, ecf_from_histogram
 from .errors import InvalidParameterError, NumericalFailure
+from .serialize import format_float
 
 __all__ = [
     "XGrid",
@@ -33,6 +34,10 @@ __all__ = [
     "hill_ratio",
     "density_to_csv",
 ]
+
+# a threshold or threshold constant stays a positive, finite double
+_TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -201,7 +206,9 @@ def theorem_threshold(cutoff, C, ratio, exponent=2):
     """Threshold ``C * (1 + cutoff) ** (-exponent * ratio)``.
 
     `exponent` 2 follows the convergence theorem; 1 matches the decay rate
-    of the CF lower bound and is exposed as an alternative.
+    of the CF lower bound and is exposed as an alternative. A value that
+    underflows is raised to the smallest normal double, which keeps it a
+    valid threshold that suppresses nothing.
     """
     cutoff = float(cutoff)
     if not (math.isfinite(cutoff) and cutoff >= 0):
@@ -214,15 +221,26 @@ def theorem_threshold(cutoff, C, ratio, exponent=2):
     ratio = float(ratio)
     if not (math.isfinite(ratio) and ratio >= 0):
         raise InvalidParameterError(f"ratio must be >= 0, got {ratio}")
-    return c_val * (1.0 + cutoff) ** (-float(exponent) * ratio)
+    return max(c_val * (1.0 + cutoff) ** (-float(exponent) * ratio), _TINY)
+
+
+def _adaptive_C(values):
+    try:
+        c_val = math.exp(-float(values.mean())) / 2.0
+    except OverflowError:
+        c_val = math.inf
+    return min(max(c_val, _TINY), _HUGE)
 
 
 def adaptive_C(sample):
-    """Data-driven threshold constant ``exp(-mean(sample)) / 2``."""
-    values = np.asarray(getattr(sample, "values", sample), dtype=float)
-    if values.size == 0:
-        raise InvalidParameterError("sample must be nonempty")
-    return math.exp(-float(values.mean())) / 2.0
+    """Data-driven threshold constant ``exp(-mean(sample)) / 2``.
+
+    Clamped to the positive finite doubles: a sample mean below about -709
+    gives the largest double (every grid point is thresholded), one above
+    about 709 the smallest normal one (nothing is thresholded).
+    """
+    values, _, _ = checked_sample(sample)
+    return _adaptive_C(values)
 
 
 def mark_cf_estimate(grid, ratio, kappa):
@@ -350,19 +368,57 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, config=None, diagnostics=Non
 
 
 # defaults tying the discretization to the cutoff and sample range
-_DEFAULT_BINS = 4096
 _INVERSION_POINTS = 1024
 _DEFAULT_X_COUNT = 2048
+_X_GRID_QUANTILE = 0.999
 
 
-def default_bin_width(values):
-    """Histogram bin width splitting the sample range into 4096 bins (1.0 when constant)."""
-    span = float(values.max() - values.min())
-    return span / _DEFAULT_BINS if span > 0 else 1.0
+def _histogram_quantile(values, hist, q):
+    """``np.quantile(values, q)`` (its default 'linear' rule), from the top bins.
+
+    The histogram of `values` shows which bin the order statistics at and
+    above rank ``floor((n - 1) q)`` start in; only the values from one bin
+    below it up are selected and partitioned, about ``(1 - q) n`` of them.
+    Interpolation repeats numpy's arithmetic, so the result equals numpy's
+    bit for bit, up to the sign of a zero.
+    """
+    n = values.size
+    virtual = (n - 1) * q
+    at_max = virtual >= n - 1
+    top_rank = n - 1 if at_max else math.floor(virtual)
+    need = n - top_rank
+    counts_from_top = np.cumsum(np.rint(hist.mass[::-1] * n))
+    # one bin of margin covers values that division and multiplication round
+    # across a bin edge
+    first_bin = hist.mass.size - 2 - int(np.searchsorted(counts_from_top, need))
+    top = values
+    if first_bin > 0:
+        top = values[values >= (hist.l_min + first_bin) * hist.bin_width]
+        if top.size < need:
+            # bin indices past 2**52 round by more than the margin
+            top = values
+    offset = top.size - n
+    if at_max:
+        # numpy takes the maximum for both neighbours, with weight virtual + 1
+        a = b = float(top.max())
+        t = virtual + 1.0
+    else:
+        part = np.partition(top, (top_rank + offset, top_rank + 1 + offset))
+        a = float(part[top_rank + offset])
+        b = float(part[top_rank + 1 + offset])
+        t = virtual - top_rank
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
-def _default_x_grid(values, ratio):
-    hi = 1.2 * float(np.quantile(values, 0.999)) / ratio
+def _default_x_grid(values, hist, ratio):
+    """``[0, 1.2 * q_999 / ratio]`` with 2048 points, or ``[0, 1]`` when that is empty.
+
+    The 0.999 quantile is computed exactly, equal to ``np.quantile``, from
+    the histogram's top bins: only about a thousandth of the sample is
+    partitioned.
+    """
+    hi = 1.2 * _histogram_quantile(values, hist, _X_GRID_QUANTILE) / ratio
     if not (math.isfinite(hi) and hi > 0):
         hi = 1.0
     return XGrid(0.0, hi / (_DEFAULT_X_COUNT - 1), _DEFAULT_X_COUNT)
@@ -383,19 +439,17 @@ def estimate_density(sample, config):
     if not isinstance(config, EstimatorConfig):
         raise InvalidParameterError("config must be an EstimatorConfig")
     values = np.asarray(getattr(sample, "values", sample), dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise InvalidParameterError("sample must be a nonempty 1-d array of values")
-    bin_width = config.bin_width if config.bin_width is not None else default_bin_width(values)
-    hist = build_histogram(values, bin_width)
+    # the histogram checks the sample (see `checked_sample`)
+    hist = build_histogram(values, config.bin_width)
     u_step = config.cutoff / _INVERSION_POINTS
     grid = ecf_from_histogram(hist, u_step, _INVERSION_POINTS)
     if config.kappa is not None:
         kappa = config.kappa
     else:
-        c_val = adaptive_C(values) if config.C == "adaptive" else config.C
+        c_val = _adaptive_C(values) if config.C == "adaptive" else config.C
         kappa = theorem_threshold(config.cutoff, c_val, config.ratio, config.kappa_exponent)
     phi_y, diag = mark_cf_estimate(grid, config.ratio, kappa)
-    x_grid = config.x_grid if config.x_grid is not None else _default_x_grid(values, config.ratio)
+    x_grid = config.x_grid if config.x_grid is not None else _default_x_grid(values, hist, config.ratio)
     estimate = invert_density(phi_y, u_step, config.cutoff, x_grid, config=config, diagnostics=diag)
     if config.renormalize:
         total = float(estimate.theta_hat.sum() * x_grid.step)
@@ -403,6 +457,11 @@ def estimate_density(sample, config):
             theta = estimate.theta_hat / total
             estimate = DensityEstimate(estimate.x_grid, theta, config, estimate.diagnostics)
     return estimate
+
+
+def default_hill_k(n):
+    """Default number of upper order statistics for `hill_ratio`: ``floor(n ** 0.6)`` within ``[1, n - 1]``."""
+    return min(max(int(n**0.6), 1), n - 1)
 
 
 def hill_ratio(sample, k=None):
@@ -417,7 +476,7 @@ def hill_ratio(sample, k=None):
     sample : SampleSeries or array_like
         Strictly positive observations.
     k : int, optional
-        Number of upper order statistics; defaults to ``floor(n ** 0.6)``.
+        Number of upper order statistics; defaults to `default_hill_k`.
 
     Returns
     -------
@@ -425,16 +484,16 @@ def hill_ratio(sample, k=None):
         The ratio estimate; ``inf`` (with a warning) when the tail is
         degenerate.
     """
-    values = np.asarray(getattr(sample, "values", sample), dtype=float)
-    if values.ndim != 1 or values.size < 2:
+    values, lo, _ = checked_sample(sample)
+    if values.size < 2:
         raise InvalidParameterError("sample must be a 1-d array with at least 2 values")
-    if np.any(values <= 0):
+    if lo <= 0:
         raise InvalidParameterError(
             "all sample values must be > 0 for the Hill route (reciprocal transform)"
         )
     n = values.size
     if k is None:
-        k = min(max(int(n**0.6), 1), n - 1)
+        k = default_hill_k(n)
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise InvalidParameterError(f"k must be an integer, got {k!r}")
     k = int(k)
@@ -455,5 +514,5 @@ def density_to_csv(estimate):
     """CSV text for a density estimate: header ``x,theta_hat``."""
     lines = ["x,theta_hat"]
     for x, t in zip(estimate.x_grid, estimate.theta_hat):
-        lines.append(f"{float(x):.17g},{float(t):.17g}")
+        lines.append(f"{format_float(x)},{format_float(t)}")
     return "\n".join(lines) + "\n"

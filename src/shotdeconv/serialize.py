@@ -17,13 +17,8 @@ __all__ = ["format_float", "dumps_json", "write_text"]
 
 
 def format_float(x):
-    """17-significant-digit text for a float (``inf``/``nan`` spelled out)."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+    """17-significant-digit text for a float (``inf``, ``-inf``, ``nan`` and ``-0`` spelled out)."""
+    return f"{float(x):.17g}"
 
 
 def _emit(obj, indent, out):

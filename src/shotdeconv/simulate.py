@@ -16,6 +16,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import InvalidParameterError
+from .serialize import format_float
 
 __all__ = [
     "SampleSeries",
@@ -303,15 +304,11 @@ def simulate_trace(params, marks, horizon, grid_step, seed=0):
     return MarkedEventTrace(times, amplitudes, grid, path)
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 def series_to_csv(series):
     """CSV text for a series: header ``index,value``, 1-based indices."""
     lines = ["index,value"]
     for i, v in enumerate(series.values, start=1):
-        lines.append(f"{i},{_fmt(v)}")
+        lines.append(f"{i},{format_float(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -324,7 +321,7 @@ def trace_events_to_csv(trace):
     """CSV text for trace events: header ``time,mark``."""
     lines = ["time,mark"]
     for t, y in zip(trace.times, trace.marks):
-        lines.append(f"{_fmt(t)},{_fmt(y)}")
+        lines.append(f"{format_float(t)},{format_float(y)}")
     return "\n".join(lines) + "\n"
 
 
@@ -332,5 +329,5 @@ def trace_path_to_csv(trace):
     """CSV text for the trace path: header ``t,x``."""
     lines = ["t,x"]
     for t, x in zip(trace.path_grid, trace.path_values):
-        lines.append(f"{_fmt(t)},{_fmt(x)}")
+        lines.append(f"{format_float(t)},{format_float(x)}")
     return "\n".join(lines) + "\n"

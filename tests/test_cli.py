@@ -4,6 +4,7 @@ Most tests drive `cli.main` in-process for speed; two subprocess tests make
 sure the `python -m shotdeconv.cli` entry point works as installed.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -233,6 +234,19 @@ class TestEstimate:
         assert code == 2
         assert "adaptive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shift", [-1000.0, 1000.0])
+    def test_extreme_mean_series_gives_estimate(self, tmp_path, shift):
+        # exp(-mean) overflows below and underflows above; the adaptive C clamps
+        config = _gamma_config(tmp_path)
+        series = simulate_series(ModelParams(2.0, 1.0, 2.0), Exponential(1.0), 2_000, seed=7)
+        path = tmp_path / "shifted.f64le"
+        path.write_bytes((series.values + shift).astype("<f8").tobytes())
+        out = tmp_path / "o"
+        assert cli.main(["estimate", "--config", str(config), "--in", str(path),
+                         "--out", str(out)]) == 0
+        diagnostics = json.loads((out / "diagnostics.json").read_text())
+        assert diagnostics["fraction_thresholded"] == (1.0 if shift < 0 else 0.0)
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         config = _gamma_config(tmp_path)
 
@@ -243,6 +257,62 @@ class TestEstimate:
         code = cli.main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestEstimateOutputPinning:
+    """Digests of `shotdeconv estimate` outputs on a seeded reference series.
+
+    The series is the reference model's (lambda 100, alpha 80, three-mode
+    mixture) at n = 50 000 and seed 2024, written by `shotdeconv simulate`
+    as f64le and read back. The default x-grid runs the 0.999 quantile and
+    the default bin width the 4096-bin histogram. Recorded with numpy 2.4
+    and scipy 1.17 on x86-64 with AVX-512; any change to the histogram, the
+    ECF, the threshold, the inversion or the writers that is not bit for bit
+    neutral changes these bytes.
+    """
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pinning")
+        config = {
+            "model": {"lambda": 100.0, "alpha": 80.0, "delta": 1.0},
+            "marks": {"type": "gaussian_mixture", "weights": [0.3, 0.5, 0.2],
+                      "means": [4.0, 12.0, 22.0], "sds": [1.0, 1.0, 0.5]},
+            "estimator": {"cutoff": 0.8},
+        }
+        (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(root / "config.json"), "--n", "50000",
+                         "--seed", "2024", "--format", "f64le", "--out", str(root)]) == 0
+        return root
+
+    @pytest.mark.parametrize(
+        "flags, estimate_digest, diagnostics_digest",
+        [
+            (
+                [],
+                "6ed010d36d535f0a80d045c594aaf1e129e2196c90d18484bdcd20e5efae7f93",
+                "6e990c7e24e3474f9ad94c23aa3ece1b9cbbe698884254f253a32615d6a9e972",
+            ),
+            (
+                ["--C", "0.3"],
+                "76d1a8e8939b5c6803195a556ec66a350aaef1bb86ec3d70e5d0c273c331e218",
+                "04e93d61e086c4f05a7139ec1845c9494042dc0b4491628b6615dc089007e41e",
+            ),
+            (
+                ["--kappa", "0.02", "--bin-width", "0.05"],
+                "c29cc37039f53c7a51df31eb0c803dd7a6105de9d041e8e766ed725a07ad8a40",
+                "a455f829702f5ea0795683c5f8966f8006bb2a064a3f5a40746ddc037530b36f",
+            ),
+        ],
+        ids=["adaptive", "fixed-C", "kappa-and-bin-width"],
+    )
+    def test_digests(self, tmp_path, workdir, flags, estimate_digest, diagnostics_digest):
+        out = tmp_path / "o"
+        assert cli.main(["estimate", "--config", str(workdir / "config.json"),
+                         "--in", str(workdir / "series.f64le"), "--out", str(out), *flags]) == 0
+        digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("estimate.csv", "diagnostics.json")]
+        assert digests == [estimate_digest, diagnostics_digest]
 
 
 class TestBench:

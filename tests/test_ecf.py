@@ -71,6 +71,37 @@ class TestBuildHistogram:
         assert hist.l_min * width <= arr.min() + 1e-9 * max(1.0, abs(arr.min()))
         assert arr.max() <= (hist.l_max + 1) * width + 1e-9 * max(1.0, abs(arr.max()))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(finite_floats, min_size=1, max_size=80),
+            # quarter-bin multiples at power-of-two widths put values, the
+            # maximum included, exactly on bin edges
+            st.lists(st.integers(-400, 400).map(lambda k: k / 4), min_size=1, max_size=80),
+        ),
+        width=st.one_of(
+            st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0]),
+            st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
+        ),
+    )
+    def test_mass_matches_clip_formula(self, values, width):
+        arr = np.array(values)
+        if (arr.max() - arr.min()) / width > 1e6:
+            width = (arr.max() - arr.min()) / 1e6
+        l_min = math.floor(arr.min() / width)
+        l_max = max(math.ceil(arr.max() / width) - 1, l_min)
+        nbins = l_max - l_min + 1
+        idx = np.clip(np.floor(arr / width).astype(np.int64) - l_min, 0, nbins - 1)
+        expected = np.bincount(idx, minlength=nbins) / arr.size
+        hist = build_histogram(arr, width)
+        assert (hist.l_min, hist.l_max) == (l_min, l_max)
+        assert np.array_equal(hist.mass, expected)
+
+    def test_default_width_splits_range_into_4096_bins(self):
+        hist = build_histogram(np.array([1.0, 5.096]))
+        assert hist.bin_width == (5.096 - 1.0) / 4096
+        assert build_histogram(np.array([3.0, 3.0])).bin_width == 1.0
+
     def test_bin_count_cap(self):
         with pytest.raises(ResourceLimitError, match="bins"):
             build_histogram(np.array([0.0, 1e6]), 1e-6)

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from shotdeconv.ecf import EcfGrid
+from shotdeconv.ecf import EcfGrid, build_histogram
 from shotdeconv.errors import InvalidParameterError, NumericalFailure
 from shotdeconv.estimator import (
     DensityEstimate,
     EstimatorConfig,
     XGrid,
+    _histogram_quantile,
     adaptive_C,
+    default_hill_k,
     density_to_csv,
     estimate_density,
     hill_ratio,
@@ -125,6 +129,14 @@ class TestTuningFormulas:
     def test_adaptive_c_empty(self):
         with pytest.raises(InvalidParameterError):
             adaptive_C(np.array([]))
+
+    def test_adaptive_c_clamped_to_positive_finite(self):
+        # exp(1000) overflows and exp(-1000) underflows
+        assert adaptive_C(np.full(5, -1000.0)) == np.finfo(float).max
+        assert adaptive_C(np.full(5, 1000.0)) == np.finfo(float).tiny
+
+    def test_threshold_underflow_stays_positive(self):
+        assert theorem_threshold(1e6, 1e-300, 100.0) == np.finfo(float).tiny
 
 
 def gamma_ecf_grid(u_step, half, shape=2.0):
@@ -283,7 +295,73 @@ class TestEstimateDensity:
             estimate_density(series, {"cutoff": 2.0})
 
 
+class TestHistogramQuantile:
+    """The default x-grid's quantile equals np.quantile, read from the top bins."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=400),
+            # heavy ties, negative values
+            st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=400),
+            # constant samples
+            st.builds(lambda v, n: [v] * n, st.floats(min_value=-1e3, max_value=1e3), st.integers(1, 50)),
+        ),
+        q=st.one_of(st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.999, 1.0]), st.floats(0.0, 1.0)),
+        bins=st.one_of(st.none(), st.integers(1, 5000)),
+    )
+    @example(values=[1.0], q=0.999, bins=None)
+    @example(values=[-2.0, 3.0], q=0.999, bins=None)
+    @example(values=[3.0, -2.0], q=0.5, bins=7)
+    def test_equals_numpy(self, values, q, bins):
+        arr = np.array(values)
+        span = float(arr.max() - arr.min())
+        hist = build_histogram(arr, None if bins is None or span == 0 else span / bins)
+        assert _histogram_quantile(arr, hist, q) == np.quantile(arr, q)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_rounded_sample(self, seed):
+        rng = np.random.default_rng(seed)
+        arr = np.round(rng.gamma(2.0, 3.0, 200_000), 2) - 4.0
+        hist = build_histogram(arr)
+        for q in (0.9, 0.99, 0.999):
+            assert _histogram_quantile(arr, hist, q) == np.quantile(arr, q)
+
+
+class TestSampleValidation:
+    """NaN and infinity are input errors at every library entry point."""
+
+    CALLS = {
+        "build_histogram": lambda x: build_histogram(x, 0.1),
+        "estimate_density": lambda x: estimate_density(x, EstimatorConfig(ratio=1.0, cutoff=2.0)),
+        "adaptive_C": adaptive_C,
+        "hill_ratio": hill_ratio,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, name, bad):
+        values = np.linspace(0.5, 3.0, 50)
+        values[17] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            self.CALLS[name](values)
+
+    @pytest.mark.parametrize("shift", [-1000.0, 1000.0])
+    def test_extreme_mean_gives_estimate(self, gamma_params, gamma_marks, shift):
+        series = simulate_series(gamma_params, gamma_marks, 2_000, seed=4)
+        config = EstimatorConfig(ratio=gamma_params.ratio, cutoff=2.0)
+        estimate = estimate_density(series.values + shift, config)
+        # C clamps to the largest double below the zero mean, the smallest above
+        assert estimate.diagnostics["fraction_thresholded"] == (1.0 if shift < 0 else 0.0)
+        assert np.all(np.isfinite(estimate.theta_hat))
+
+
 class TestHillRatio:
+    def test_default_k(self):
+        assert default_hill_k(20_000) == int(20_000**0.6)
+        assert default_hill_k(2) == 1
+
+
     def test_pareto_oracle(self):
         # X = U^(1/2) has density 2x on (0,1): reciprocal tail index 2
         rng = np.random.default_rng(2024)

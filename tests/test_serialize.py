@@ -21,6 +21,11 @@ class TestFormatFloat:
         assert format_float(float("-inf")) == "-inf"
         assert format_float(float("nan")) == "nan"
 
+    def test_negative_zero_and_numpy_scalars(self):
+        assert format_float(-0.0) == "-0"
+        assert format_float(np.float64(2.5)) == "2.5"
+        assert format_float(np.float32(0.1)) == "0.10000000149011612"
+
 
 class TestDumpsJson:
     def test_scalars_and_nesting(self):
