@@ -203,7 +203,7 @@ def _read_series_file(path):
             data = handle.read()
         if len(data) == 0 or len(data) % 8:
             _fail(f"{path} is not a whole number of little-endian float64 values")
-        values = np.frombuffer(data, dtype="<f8").copy()
+        values = np.frombuffer(data, dtype="<f8")
     else:
         try:
             values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1, ndmin=1)

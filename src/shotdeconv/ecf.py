@@ -34,6 +34,9 @@ __all__ = [
 _FFT_CAP = 2**28
 # the default histogram splits the sample range into this many bins
 _DEFAULT_BINS = 4096
+# float64 resolves every integer up to this bound; bin indices must stay below
+# it for floor(x / w) to tell neighbouring bins apart
+_EXACT_INDEX = 2**53
 
 
 def checked_sample(sample):
@@ -134,6 +137,11 @@ def build_histogram(sample, bin_width=None):
         raise InvalidParameterError(f"bin_width must be > 0, got {width}")
     l_min = math.floor(lo / width)
     l_max = max(math.ceil(hi / width) - 1, l_min)
+    if max(abs(l_min), abs(l_max)) > _EXACT_INDEX:
+        raise InvalidParameterError(
+            f"sample range [{lo:g}, {hi:g}] at bin_width {width:g} gives bin indices "
+            f"beyond 2**53, past the integers float64 resolves; shift or rescale the sample"
+        )
     nbins = l_max - l_min + 1
     if nbins > _FFT_CAP:
         raise ResourceLimitError(

@@ -150,11 +150,14 @@ class EstimatorConfig:
 
 @dataclass(frozen=True, eq=False)
 class DensityEstimate:
-    """Estimated mark density on a regular grid plus the settings used."""
+    """Estimated mark density on a regular grid plus the settings used.
+
+    ``config`` is None when `invert_density` was called without one.
+    """
 
     x_grid: np.ndarray
     theta_hat: np.ndarray
-    config: EstimatorConfig
+    config: EstimatorConfig | None
     diagnostics: dict
 
     def __post_init__(self):
@@ -303,10 +306,10 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, config=None, diagnostics=Non
         Truncation limit; the grid must span ``[-cutoff, cutoff]``.
     x_grid : XGrid
     config : EstimatorConfig, optional
-        Recorded on the result; a minimal placeholder is synthesized when
-        absent.
+        Recorded on the result as given, None included.
     diagnostics : dict, optional
-        Upstream diagnostics to carry through (thresholding statistics).
+        Upstream diagnostics to carry through (thresholding statistics);
+        the result's diagnostics hold these plus ``imag_residual``.
 
     Returns
     -------
@@ -351,13 +354,8 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, config=None, diagnostics=Non
     sup_real = float(np.max(np.abs(raw.real)))
     imag_residual = float(np.max(np.abs(raw.imag)) / max(sup_real, 1e-300))
     theta = np.maximum(raw.real, 0.0)
-    diag = dict(diagnostics) if diagnostics else {
-        "fraction_thresholded": 0.0,
-        "min_abs_ecf": float(np.min(np.abs(values))),
-    }
+    diag = dict(diagnostics or {})
     diag["imag_residual"] = imag_residual
-    if config is None:
-        config = EstimatorConfig(ratio=1.0, cutoff=cutoff, x_grid=x_grid)
     estimate = DensityEstimate(x_grid.values, theta, config, diag)
     if imag_residual >= 1e-6:
         raise NumericalFailure(

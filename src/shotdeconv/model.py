@@ -318,44 +318,14 @@ def mark_cf(marks, u):
     return marks.cf(u)
 
 
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth, max_depth):
-    """One adaptive-Simpson refinement step; returns (integral, converged)."""
-    mid = 0.5 * (a + b)
-    lmid = 0.5 * (a + mid)
-    rmid = 0.5 * (mid + b)
-    flm = f(lmid)
-    frm = f(rmid)
-    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0, True
-    if depth >= max_depth:
-        return left + right + err / 15.0, False
-    lval, lok = _adaptive_simpson(f, a, mid, fa, flm, fm, left, 0.5 * tol, depth + 1, max_depth)
-    rval, rok = _adaptive_simpson(f, mid, b, fm, frm, fb, right, 0.5 * tol, depth + 1, max_depth)
-    return lval + rval, lok and rok
-
-
-def _integrate_segment(f, a, b, rel_tol, scale, max_depth):
-    """Adaptive Simpson of complex-valued `f` over [a, b]."""
-    if a == b:
-        return 0.0 + 0.0j, True
-    fa = f(a)
-    fm = f(0.5 * (a + b))
-    fb = f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = rel_tol * max(abs(whole), scale, 1e-300)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, 0, max_depth)
-
-
 def true_shot_cf(params, marks, u, rel_tol=1e-8, _max_depth=60):
     """Characteristic function of the stationary sampled shot noise.
 
     Evaluates ``exp(ratio * I(u))`` where ``I(u)`` is the integral from 0 to
-    `u` of ``(mark_cf(z) - 1) / z``, the integrand extended by continuity to
-    ``i * E[Y]`` at 0. Quadrature is adaptive Simpson, refined until the
-    estimated error of the log is below `rel_tol` relative to its magnitude.
+    `u` of ``(mark_cf(z) - 1) / z``. With ``z = t * u`` this is the integral
+    over ``t`` in [0, 1] of ``(mark_cf(t * u) - 1) / t``, which
+    ``scipy.integrate.quad_vec`` computes for every `u` at once by adaptive
+    Gauss-Kronrod quadrature. The endpoint ``t = 0`` is never evaluated.
 
     Parameters
     ----------
@@ -364,7 +334,10 @@ def true_shot_cf(params, marks, u, rel_tol=1e-8, _max_depth=60):
     u : float or array_like
         Evaluation point(s).
     rel_tol : float, optional
-        Relative tolerance on the log of the result, in ``(0, 1e-2]``.
+        Relative tolerance in ``(0, 1e-2]``. The error of every ``I(u)`` is
+        bounded by ``rel_tol`` times the largest ``|I(u)|`` of the call, so
+        the relative error of each result is at most about
+        ``ratio * rel_tol * max|I(u)|``.
 
     Returns
     -------
@@ -373,49 +346,31 @@ def true_shot_cf(params, marks, u, rel_tol=1e-8, _max_depth=60):
     Raises
     ------
     NumericalFailure
-        If any quadrature segment fails to converge within the subdivision
-        cap. The best available value is attached as ``partial``.
+        If the quadrature does not converge within ``2**_max_depth``
+        subintervals. The best available value is attached as ``partial``.
     """
     rel_tol = _require_finite_number(rel_tol, "rel_tol")
     if not 0.0 < rel_tol <= 1e-2:
         raise InvalidParameterError(f"rel_tol must be in (0, 1e-2], got {rel_tol}")
     u_arr = np.asarray(u, dtype=float)
-    scalar = u_arr.ndim == 0
     u_flat = np.atleast_1d(u_arr).ravel()
     if not np.all(np.isfinite(u_flat)):
         raise InvalidParameterError("u must be finite")
+    if u_flat.size == 0:
+        return np.empty(u_arr.shape, dtype=complex)
 
-    mean_mark = marks.mean()
+    def integrand(t):
+        return (marks.cf(t * u_flat) - 1.0) / t
 
-    def integrand(z):
-        if z == 0.0:
-            return 1j * mean_mark
-        return (marks.cf(z) - 1.0) / z
-
-    points = np.unique(np.concatenate([u_flat, [0.0]]))
-    zero_idx = int(np.searchsorted(points, 0.0))
-    seg_vals = np.zeros(max(len(points) - 1, 0), dtype=complex)
-    converged = True
-    for i in range(len(points) - 1):
-        a, b = points[i], points[i + 1]
-        scale = abs(b - a) * (abs(mean_mark) + 1.0) * 1e-3
-        val, ok = _integrate_segment(integrand, a, b, rel_tol, scale, _max_depth)
-        seg_vals[i] = val
-        converged = converged and ok
-    # cumulative integral from 0 to every breakpoint
-    log_at = np.zeros(len(points), dtype=complex)
-    for i in range(zero_idx + 1, len(points)):
-        log_at[i] = log_at[i - 1] + seg_vals[i - 1]
-    for i in range(zero_idx - 1, -1, -1):
-        log_at[i] = log_at[i + 1] - seg_vals[i]
-    idx = np.searchsorted(points, u_flat)
-    phi = np.exp(params.ratio * log_at[idx])
+    log_phi, _, info = integrate.quad_vec(
+        integrand, 0.0, 1.0, epsrel=rel_tol, norm="max", limit=2**_max_depth, full_output=True
+    )
+    phi = np.exp(params.ratio * log_phi)
     phi[u_flat == 0.0] = 1.0 + 0.0j
-    phi = phi.reshape(np.atleast_1d(u_arr).shape)
-    result = complex(phi[0]) if scalar else phi
-    if not converged:
+    result = complex(phi[0]) if u_arr.ndim == 0 else phi.reshape(u_arr.shape)
+    if not info.success:
         raise NumericalFailure(
-            f"quadrature did not converge within {_max_depth} subdivision levels "
+            f"quadrature did not converge within {2**_max_depth} subintervals "
             f"at rel_tol={rel_tol}",
             partial=result,
         )

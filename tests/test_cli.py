@@ -247,6 +247,15 @@ class TestEstimate:
         diagnostics = json.loads((out / "diagnostics.json").read_text())
         assert diagnostics["fraction_thresholded"] == (1.0 if shift < 0 else 0.0)
 
+    def test_huge_magnitude_series_exits_2(self, tmp_path, capsys):
+        config = _gamma_config(tmp_path)
+        path = tmp_path / "huge.f64le"
+        path.write_bytes(np.full(10, 1e20).astype("<f8").tobytes())
+        code = cli.main(["estimate", "--config", str(config), "--in", str(path),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "bin indices" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         config = _gamma_config(tmp_path)
 

@@ -106,6 +106,16 @@ class TestBuildHistogram:
         with pytest.raises(ResourceLimitError, match="bins"):
             build_histogram(np.array([0.0, 1e6]), 1e-6)
 
+    @pytest.mark.parametrize("value", [1e20, 1e300, -1e19])
+    def test_bin_index_range(self, value):
+        with pytest.raises(InvalidParameterError, match=r"2\*\*53"):
+            build_histogram(np.full(10, value))
+
+    def test_bin_index_range_edge(self):
+        hist = build_histogram(np.full(3, 2.0**53))
+        assert hist.l_min == hist.l_max == 2**53
+        assert hist.centers.shape == (1,)
+
 
 class TestHistogramType:
     def test_mass_must_sum_to_one(self):

@@ -222,6 +222,13 @@ class TestInvertDensity:
         est_trunc = invert_density(phi_trunc, step, 4.0, x_grid)
         assert np.allclose(est_wide.theta_hat, est_trunc.theta_hat, atol=1e-14)
 
+    def test_without_config_records_only_what_it_computed(self):
+        step = 2.0 / 128
+        phi = np.exp(-0.5 * (np.arange(-128, 129) * step) ** 2)
+        est = invert_density(phi, step, 2.0, XGrid(-2.0, 0.05, 81))
+        assert est.config is None
+        assert set(est.diagnostics) == {"imag_residual"}
+
     def test_validation(self):
         x_grid = XGrid(0.0, 0.1, 11)
         with pytest.raises(InvalidParameterError, match="odd"):
@@ -345,6 +352,11 @@ class TestSampleValidation:
         values[17] = bad
         with pytest.raises(InvalidParameterError, match="finite"):
             self.CALLS[name](values)
+
+    def test_huge_magnitude_rejected(self):
+        config = EstimatorConfig(ratio=1.0, cutoff=2.0)
+        with pytest.raises(InvalidParameterError, match="bin indices"):
+            estimate_density(np.full(10, 1e20), config)
 
     @pytest.mark.parametrize("shift", [-1000.0, 1000.0])
     def test_extreme_mean_gives_estimate(self, gamma_params, gamma_marks, shift):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import sici
 
 from shotdeconv.errors import InvalidParameterError, NumericalFailure
 from shotdeconv.model import (
@@ -261,6 +262,26 @@ class TestTrueShotCf:
         phi = true_shot_cf(gamma_params, gamma_marks, u)
         expected = (1.0 - 1j * u) ** -2.0
         assert np.max(np.abs(phi - expected) / np.abs(expected)) < 1e-6
+
+    def test_gamma_closed_form_fine_grid(self, gamma_params, gamma_marks):
+        u = np.linspace(-50.0, 50.0, 501)
+        phi = true_shot_cf(gamma_params, gamma_marks, u)
+        expected = (1.0 - 1j * u) ** -2.0
+        assert np.max(np.abs(phi - expected) / np.abs(expected)) < 1e-12
+
+    @pytest.mark.parametrize("value,u", [(200.0, 2.0), (50.0, 3.0), (10.0, 7.0)])
+    def test_point_mass_si_ci_closed_form(self, value, u):
+        # integral of (e^{ivz} - 1)/z over [0, u] is -Cin(vu) + i Si(vu),
+        # with Cin(x) = gamma + ln x - Ci(x); the integrand oscillates fast
+        params = ModelParams(1.0, 1.0, 1.0)
+        si, ci = sici(value * u)
+        cin = np.euler_gamma + math.log(value * u) - ci
+        expected = np.exp(params.ratio * (-cin + 1j * si))
+        assert true_shot_cf(params, PointMass(value), u) == pytest.approx(expected, rel=1e-9)
+
+    def test_empty_u(self, ref_params, ref_marks):
+        phi = true_shot_cf(ref_params, ref_marks, np.array([]))
+        assert phi.shape == (0,) and phi.dtype == complex
 
     def test_array_matches_scalars(self, ref_params, ref_marks):
         u = np.array([-1.0, 0.0, 0.5, 2.0])
