@@ -26,7 +26,7 @@ from .estimator import (
     theorem_threshold,
 )
 from .model import cf_lower_bound, check_smoothness, marks_to_json, true_shot_cf
-from .serialize import format_float
+from .serialize import csv_text
 from .simulate import derive_seed, simulate_series
 
 __all__ = [
@@ -380,19 +380,23 @@ def run_lower_bound_audit(params, marks, smoothness, n=100_000, seed=20_240,
 
 def reports_to_csv(reports):
     """CSV text for a report list: header ``n,runs,mean_sup_error,variance``."""
-    lines = ["n,runs,mean_sup_error,variance"]
-    for r in reports:
-        lines.append(f"{r.n},{r.runs},{format_float(r.mean_sup_error)},{format_float(r.variance_sup_error)}")
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        "n,runs,mean_sup_error,variance",
+        [r.n for r in reports],
+        [r.runs for r in reports],
+        [r.mean_sup_error for r in reports],
+        [r.variance_sup_error for r in reports],
+    )
 
 
 def per_run_errors_to_csv(reports):
     """CSV text of every per-run error: header ``n,run,sup_error``."""
-    lines = ["n,run,sup_error"]
-    for r in reports:
-        for run, err in enumerate(r.per_run_errors):
-            lines.append(f"{r.n},{run},{format_float(err)}")
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        "n,run,sup_error",
+        [r.n for r in reports for _ in r.per_run_errors],
+        [run for r in reports for run in range(len(r.per_run_errors))],
+        [err for r in reports for err in r.per_run_errors],
+    )
 
 
 def reports_to_json_obj(reports):

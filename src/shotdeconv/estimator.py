@@ -18,7 +18,7 @@ from scipy.signal import czt
 
 from .ecf import EcfGrid, build_histogram, checked_sample, ecf_from_histogram
 from .errors import InvalidParameterError, NumericalFailure
-from .serialize import format_float
+from .serialize import csv_text
 
 __all__ = [
     "XGrid",
@@ -439,6 +439,13 @@ def estimate_density(sample, config):
     values = np.asarray(getattr(sample, "values", sample), dtype=float)
     # the histogram checks the sample (see `checked_sample`)
     hist = build_histogram(values, config.bin_width)
+    # past pi/bin_width the bin-center ECF repeats itself (aliasing)
+    if config.cutoff * hist.bin_width > math.pi:
+        raise InvalidParameterError(
+            f"cutoff {config.cutoff:g} is past the histogram's Nyquist frequency "
+            f"pi/bin_width = {math.pi / hist.bin_width:g} (bin width {hist.bin_width:g}); "
+            "pass a smaller bin_width"
+        )
     u_step = config.cutoff / _INVERSION_POINTS
     grid = ecf_from_histogram(hist, u_step, _INVERSION_POINTS)
     if config.kappa is not None:
@@ -510,7 +517,4 @@ def hill_ratio(sample, k=None):
 
 def density_to_csv(estimate):
     """CSV text for a density estimate: header ``x,theta_hat``."""
-    lines = ["x,theta_hat"]
-    for x, t in zip(estimate.x_grid, estimate.theta_hat):
-        lines.append(f"{format_float(x)},{format_float(t)}")
-    return "\n".join(lines) + "\n"
+    return csv_text("x,theta_hat", estimate.x_grid, estimate.theta_hat)

@@ -38,6 +38,10 @@ __all__ = [
     "model_from_json",
 ]
 
+# Entries per block of the simulator's per-pulse arithmetic: a block's few
+# float and index arrays (512 KiB each) stay in a core's L2 cache.
+_BLOCK = 65_536
+
 
 def _require_finite_number(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
@@ -199,17 +203,29 @@ class GaussianMixture:
         j < K-1, which is ``searchsorted(cum, u, "right")`` capped at K-1:
         zero-weight components are never chosen, and a ``u`` at or above a
         last cumulative weight that rounds below 1 falls to the last one.
+
+        All `size` component uniforms come from one ``rng.random`` call.
+        The normals are then drawn, scaled and shifted block by block of
+        the uniforms, each mark written over its uniform. A draw split into
+        consecutive calls of the same generator method returns the same
+        values as one call of the summed size, and every mark is the same
+        ``sd * z + mu``, so the block size does not change the output.
         """
         cum = np.cumsum(self.weights)
-        u = rng.random(size)
-        comp = np.zeros(u.shape, dtype=np.intp)
-        for edge in cum[:-1]:
-            comp += u >= edge
-        del u
-        # sd * z + mu, in place: the same IEEE result as mu + sd * z
-        out = rng.standard_normal(size)
-        out *= np.take(self.sds, comp)
-        out += np.take(self.means, comp)
+        sds = np.asarray(self.sds)
+        means = np.asarray(self.means)
+        out = rng.random(size)
+        for start in range(0, size, _BLOCK):
+            u = out[start : start + _BLOCK]
+            # the count runs over j < max(K-1, 1); "clip" caps it at K-1,
+            # which matters only for K = 1
+            comp = (u >= cum[0]).astype(np.intp)
+            for edge in cum[1:-1]:
+                comp += (u >= edge).astype(np.intp)
+            # sd * z + mu, written over the uniforms: the same IEEE result
+            # as mu + sd * z
+            np.multiply(rng.standard_normal(u.size), sds.take(comp, mode="clip"), out=u)
+            u += means.take(comp, mode="clip")
         return out
 
 

@@ -13,12 +13,36 @@ import math
 
 import numpy as np
 
-__all__ = ["format_float", "dumps_json", "write_text"]
+__all__ = ["format_float", "csv_text", "dumps_json", "write_text"]
+
+
+# the one float format of every text output
+_FLOAT_FORMAT = ".17g"
 
 
 def format_float(x):
     """17-significant-digit text for a float (``inf``, ``-inf``, ``nan`` and ``-0`` spelled out)."""
-    return f"{float(x):.17g}"
+    return format(float(x), _FLOAT_FORMAT)
+
+
+def csv_text(header, *columns):
+    """CSV text: the `header` line, then one line per row of the equal-length `columns`.
+
+    An integer column prints its integers; any other column is read as
+    floats, each printed as `format_float` prints it.
+    """
+    cells = []
+    specs = []
+    for column in columns:
+        values = np.asarray(column)
+        if values.dtype.kind in "iu":
+            specs.append("{}")
+        else:
+            values = values.astype(float, copy=False)
+            specs.append("{:" + _FLOAT_FORMAT + "}")
+        cells.append(values.tolist())
+    row = ",".join(specs).format
+    return "\n".join([header, *map(row, *cells)]) + "\n"
 
 
 def _emit(obj, indent, out):

@@ -16,7 +16,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import InvalidParameterError
-from .serialize import format_float
+from .model import _BLOCK
+from .serialize import csv_text
 
 __all__ = [
     "SampleSeries",
@@ -184,6 +185,16 @@ def _innovations(params, marks, count, rng):
     this order, any draw's size, or the float operations that turn the draws
     into innovations changes every seeded series, and must be announced as
     a stream change.
+
+    The per-pulse arithmetic runs in blocks of about ``_BLOCK`` pulses, of
+    ``max(1, int(_BLOCK / max(lam_eff, 1)))`` intervals each, cut only at
+    interval boundaries: per block come its uniform ages, their
+    ``exp(-alpha_norm * (U * cap))`` factors multiplied into its marks, and
+    the per-interval sums. A draw split into consecutive calls of the same
+    generator method returns the same values as one call of the summed
+    size, and ``bincount`` adds each interval's pulses in order from 0.0,
+    so the block size does not change the output; it is not part of the
+    stream.
     """
     cap = min(1.0, _AGE_CUTOFF / params.alpha_norm)
     lam_eff = params.lambda_norm * cap
@@ -192,23 +203,27 @@ def _innovations(params, marks, count, rng):
         return out
     # chunk so the per-chunk event buffer stays modest
     chunk = max(1, int(8_000_000 / max(lam_eff, 1.0)))
-    pos = 0
-    while pos < count:
+    # intervals per block of the per-pulse arithmetic
+    per_block = max(1, int(_BLOCK / max(lam_eff, 1.0)))
+    for pos in range(0, count, chunk):
         block = min(chunk, count - pos)
         counts = rng.poisson(lam_eff, size=block)
-        total = int(counts.sum())
-        contrib = marks.sample(rng, total)
-        # contrib *= exp(-alpha_norm * (U * cap)), worked in place
-        ages = rng.random(total)
-        ages *= cap
-        ages *= -params.alpha_norm
-        np.exp(ages, out=ages)
-        contrib *= ages
-        del ages
-        owner = np.repeat(np.arange(block), counts)
-        out[pos : pos + block] = np.bincount(owner, weights=contrib, minlength=block)
-        del owner, contrib
-        pos += block
+        ends = np.cumsum(counts)
+        contrib = marks.sample(rng, int(ends[-1]))
+        p0 = 0
+        for i0 in range(0, block, per_block):
+            i1 = min(i0 + per_block, block)
+            p1 = int(ends[i1 - 1])
+            # contrib *= exp(-alpha_norm * (U * cap)), worked in place
+            ages = rng.random(p1 - p0)
+            ages *= cap
+            ages *= -params.alpha_norm
+            np.exp(ages, out=ages)
+            part = contrib[p0:p1]
+            part *= ages
+            owner = np.repeat(np.arange(i1 - i0), counts[i0:i1])
+            out[pos + i0 : pos + i1] = np.bincount(owner, weights=part, minlength=i1 - i0)
+            p0 = p1
     return out
 
 
@@ -306,10 +321,7 @@ def simulate_trace(params, marks, horizon, grid_step, seed=0):
 
 def series_to_csv(series):
     """CSV text for a series: header ``index,value``, 1-based indices."""
-    lines = ["index,value"]
-    for i, v in enumerate(series.values, start=1):
-        lines.append(f"{i},{format_float(v)}")
-    return "\n".join(lines) + "\n"
+    return csv_text("index,value", np.arange(1, series.values.size + 1), series.values)
 
 
 def series_to_f64le(series):
@@ -319,15 +331,9 @@ def series_to_f64le(series):
 
 def trace_events_to_csv(trace):
     """CSV text for trace events: header ``time,mark``."""
-    lines = ["time,mark"]
-    for t, y in zip(trace.times, trace.marks):
-        lines.append(f"{format_float(t)},{format_float(y)}")
-    return "\n".join(lines) + "\n"
+    return csv_text("time,mark", trace.times, trace.marks)
 
 
 def trace_path_to_csv(trace):
     """CSV text for the trace path: header ``t,x``."""
-    lines = ["t,x"]
-    for t, x in zip(trace.path_grid, trace.path_values):
-        lines.append(f"{format_float(t)},{format_float(x)}")
-    return "\n".join(lines) + "\n"
+    return csv_text("t,x", trace.path_grid, trace.path_values)

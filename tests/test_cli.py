@@ -256,6 +256,17 @@ class TestEstimate:
         assert code == 2
         assert "bin indices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 1e300], [0.0, 1e20]], ids=["1e300", "1e20"])
+    def test_cutoff_past_nyquist_exits_2(self, tmp_path, capsys, values):
+        config = _gamma_config(tmp_path)
+        path = tmp_path / "wide.f64le"
+        path.write_bytes(np.asarray(values).astype("<f8").tobytes())
+        code = cli.main(["estimate", "--config", str(config), "--in", str(path),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Nyquist" in err and "smaller bin_width" in err
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         config = _gamma_config(tmp_path)
 

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shotdeconv.ecf import EcfGrid, build_histogram
-from shotdeconv.errors import InvalidParameterError, NumericalFailure
+from shotdeconv.errors import InvalidParameterError, NumericalFailure, ResourceLimitError
 from shotdeconv.estimator import (
     DensityEstimate,
     EstimatorConfig,
@@ -358,6 +360,21 @@ class TestSampleValidation:
         with pytest.raises(InvalidParameterError, match="bin indices"):
             estimate_density(np.full(10, 1e20), config)
 
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 1e300], [0.0, 1e20]], ids=["1e300", "1e20"])
+    def test_cutoff_past_nyquist_rejected(self, values):
+        # the default width (span/4096) puts pi/bin_width far below the cutoff
+        config = EstimatorConfig(ratio=1.0, cutoff=2.0)
+        with pytest.raises(InvalidParameterError, match="Nyquist.*smaller bin_width"):
+            estimate_density(np.asarray(values), config)
+
+    def test_cutoff_at_nyquist_accepted(self):
+        width = math.pi / 2.0
+        config = EstimatorConfig(ratio=1.0, cutoff=2.0, bin_width=width)
+        estimate = estimate_density(np.linspace(0.5, 30.0, 200), config)
+        assert np.all(np.isfinite(estimate.theta_hat))
+        with pytest.raises(InvalidParameterError, match="Nyquist"):
+            estimate_density(np.linspace(0.5, 30.0, 200), replace(config, bin_width=width * 1.001))
+
     @pytest.mark.parametrize("shift", [-1000.0, 1000.0])
     def test_extreme_mean_gives_estimate(self, gamma_params, gamma_marks, shift):
         series = simulate_series(gamma_params, gamma_marks, 2_000, seed=4)
@@ -366,6 +383,38 @@ class TestSampleValidation:
         # C clamps to the largest double below the zero mean, the smallest above
         assert estimate.diagnostics["fraction_thresholded"] == (1.0 if shift < 0 else 0.0)
         assert np.all(np.isfinite(estimate.theta_hat))
+
+
+_ADVERSARIAL_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, 1e-300, 1e20, -1e20, 1e300, -1e300, 2.0**53]),
+)
+# the internal consistency checks of `EcfGrid`, which no input may reach
+_ECF_INVARIANT = "phi at u=0|must not exceed 1|conjugate"
+
+
+class TestEstimateProperty:
+    """`estimate_density` returns a finite estimate or raises a documented error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(_ADVERSARIAL_VALUES, max_size=40),
+            st.builds(lambda x, k: [x] * k, _ADVERSARIAL_VALUES, st.integers(1, 40)),
+        ),
+        cutoff=st.sampled_from([0.8, 2.0, 10.0]),
+    )
+    @example(values=[1.0, 2.0, 1e300], cutoff=2.0)
+    @example(values=[0.0, 1e20], cutoff=2.0)
+    @example(values=[], cutoff=2.0)
+    def test_valid_estimate_or_documented_error(self, values, cutoff):
+        config = EstimatorConfig(ratio=1.0, cutoff=cutoff)
+        try:
+            estimate = estimate_density(np.asarray(values, dtype=float), config)
+        except (InvalidParameterError, ResourceLimitError, NumericalFailure) as exc:
+            assert not re.search(_ECF_INVARIANT, str(exc)), str(exc)
+        else:
+            assert np.all(np.isfinite(estimate.theta_hat))
 
 
 class TestHillRatio:

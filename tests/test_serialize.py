@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shotdeconv.serialize import dumps_json, format_float, write_text
+from shotdeconv.serialize import csv_text, dumps_json, format_float, write_text
 
 
 class TestFormatFloat:
@@ -25,6 +27,30 @@ class TestFormatFloat:
         assert format_float(-0.0) == "-0"
         assert format_float(np.float64(2.5)) == "2.5"
         assert format_float(np.float32(0.1)) == "0.10000000149011612"
+
+
+class TestCsvText:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-(2**62), 2**62), st.floats(), st.floats(width=32)),
+            max_size=30,
+        )
+    )
+    def test_rows_match_format_float(self, rows):
+        ints = [r[0] for r in rows]
+        floats = np.array([r[1] for r in rows], dtype=float)
+        singles = np.array([r[2] for r in rows], dtype=np.float32)
+        expected = "a,b,c\n" + "".join(
+            f"{i},{format_float(x)},{format_float(y)}\n" for i, x, y in zip(ints, floats, singles)
+        )
+        assert csv_text("a,b,c", ints, floats, singles) == expected
+
+    def test_header_only(self):
+        assert csv_text("x,y", [], np.empty(0)) == "x,y\n"
+
+    def test_integer_array_column(self):
+        assert csv_text("i,v", np.arange(1, 3), [0.5, -0.0]) == "i,v\n1,0.5\n2,-0\n"
 
 
 class TestDumpsJson:

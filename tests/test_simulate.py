@@ -220,6 +220,75 @@ class TestStreamPinning:
         assert _sha256(marks.sample(np.random.default_rng(seed), 20_000)) == digest
 
 
+class TestBlockBoundaryPinning:
+    """Digests of seeded outputs that cross the simulator's internal boundaries.
+
+    The simulator works in outer chunks of intervals and, inside each
+    chunk, in cache-sized blocks of pulses; the mixture sampler works in
+    blocks of marks. These cases span several chunks and blocks, end on a
+    ragged block, hold blocks without pulses, or make every block one
+    interval, so a change in how the work is cut that moves any draw or any
+    float result changes their bytes. Recorded like `TestStreamPinning`.
+    """
+
+    @pytest.mark.parametrize(
+        "params, marks, n, burn_in, seed, digest",
+        [
+            (
+                # two outer chunks, about 150 blocks of intervals each
+                ModelParams(100.0, 80.0, 1.25),
+                _REF_MARKS,
+                200_000,
+                None,
+                2025,
+                "37731ba856564a6a701695134ad4c1327fbf1b77827cfa7ad4bc3c5a6a4179e6",
+            ),
+            (
+                # about 3 pulses in 300064 intervals: most blocks hold none
+                ModelParams(1e-5, 1.0, 1e-5),
+                Exponential(1.0),
+                300_000,
+                None,
+                13,
+                "7539a1fc820924367ecbe62fc9eb673ebf10225d5d1704cfbcae556701c29730",
+            ),
+            (
+                # 80000 pulses per interval: every block is one interval
+                ModelParams(2e5, 100.0, 2000.0),
+                Exponential(1.0),
+                40,
+                0,
+                17,
+                "650f1534ea345873ef923fa5cd2ff131fd7877bca5d7fd157ca94ecbd7d21e16",
+            ),
+        ],
+        ids=["reference-two-chunks", "low-rate-empty-blocks", "one-interval-blocks"],
+    )
+    def test_series_digest(self, params, marks, n, burn_in, seed, digest):
+        series = simulate_series(params, marks, n, burn_in=burn_in, seed=seed)
+        assert _sha256(series.values) == digest
+
+    @pytest.mark.parametrize(
+        "marks, seed, digest",
+        [
+            (
+                _REF_MARKS,
+                31,
+                "3a47a97a4086eb56584204425b6ecf11f0088d1028c755aa15aece6d5b755c19",
+            ),
+            (
+                _ZERO_WEIGHT_MARKS,
+                37,
+                "5921a5c43bd06f917911bf6729539165f5e00439820ff38db17666768c7e8bd7",
+            ),
+        ],
+        ids=["reference-mixture", "zero-weight-mixture"],
+    )
+    def test_mixture_sample_ragged_block_digest(self, marks, seed, digest):
+        # 200001 marks: three full blocks of 65536 and a ragged one
+        assert _sha256(marks.sample(np.random.default_rng(seed), 200_001)) == digest
+
+
 class TestSimulateTrace:
     def test_path_matches_brute_force_superposition(self):
         params = ModelParams(5.0, 1.0, 5.0)
