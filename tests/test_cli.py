@@ -8,9 +8,12 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shotdeconv import cli
 from shotdeconv.errors import NumericalFailure
@@ -256,6 +259,20 @@ class TestEstimate:
         assert code == 2
         assert "bin indices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [[0.0, 5e-324], [-1e308, 1e308]],
+                             ids=["span-underflow", "span-overflow"])
+    def test_default_width_out_of_range_exits_2(self, tmp_path, capsys, values):
+        config = _gamma_config(tmp_path)
+        path = tmp_path / "range.f64le"
+        path.write_bytes(np.asarray(values).astype("<f8").tobytes())
+        code = cli.main(["estimate", "--config", str(config), "--in", str(path),
+                         "--out", str(tmp_path / "o"), "--cutoff", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "sample range" in err and "default 4096 bins" in err
+        assert "pass a bin_width or rescale the sample" in err
+        assert "bin_width must be > 0" not in err
+
     @pytest.mark.parametrize("values", [[1.0, 2.0, 1e300], [0.0, 1e20]], ids=["1e300", "1e20"])
     def test_cutoff_past_nyquist_exits_2(self, tmp_path, capsys, values):
         config = _gamma_config(tmp_path)
@@ -452,3 +469,58 @@ class TestNonFiniteInput:
         assert code == 2
         assert "non-finite" in captured.err and "position 18" in captured.err
         assert "ratio_estimate" not in captured.out
+
+
+# raw f64le payloads: arbitrary bytes (NaNs, infinities, every exponent and
+# ragged lengths), or packed finite floats that get past the reader
+_f64le_payloads = st.one_of(
+    st.binary(max_size=96),
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=-50.0, max_value=50.0),
+        ),
+        min_size=1, max_size=40,
+    ).map(lambda xs: np.asarray(xs, dtype="<f8").tobytes()),
+)
+# CSV payloads: arbitrary text, or a header and index,value rows whose value
+# field is a float or arbitrary text
+_csv_payloads = st.one_of(
+    st.text(max_size=80),
+    st.lists(
+        st.one_of(st.floats().map(repr), st.text(alphabet="0123456789.-+eE,x ", max_size=8)),
+        min_size=0, max_size=30,
+    ).map(lambda fields: "index,value\n" + "".join(f"{i},{f}\n" for i, f in enumerate(fields))),
+)
+
+
+class TestRandomInputProperty:
+    """Any series file gives an estimate or a documented error, never a traceback.
+
+    ``hill`` on a degenerate tail prints ``inf`` with a warning and exits 0;
+    that is its documented behaviour, so exit 0 is accepted with any output.
+    """
+
+    FLAGS = {"estimate": ["--cutoff", "2"], "hill": []}
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    @pytest.mark.parametrize("suffix", ["f64le", "csv"])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_is_documented(self, tmp_path, capsys, command, suffix, data):
+        config = _gamma_config(tmp_path, estimator=None)
+        path = tmp_path / f"series.{suffix}"
+        if suffix == "f64le":
+            path.write_bytes(data.draw(_f64le_payloads))
+        else:
+            path.write_text(data.draw(_csv_payloads), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main([command, "--config", str(config), "--in", str(path),
+                             "--out", str(tmp_path / "o"), *self.FLAGS[command]])
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3)
+        assert "Traceback" not in captured.err
+        if code:
+            assert captured.err.startswith(("error: ", "numerical failure: "))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shotdeconv.ecf import (
+    _SUM_BLOCK,
     EcfGrid,
     Histogram,
     build_histogram,
@@ -14,9 +15,10 @@ from shotdeconv.ecf import (
     ecf_direct,
     ecf_from_histogram,
     histogram_cf_bounds,
+    _ecf_sup_gap,
 )
 from shotdeconv.errors import InvalidParameterError, ResourceLimitError
-from shotdeconv.model import ModelParams, PointMass
+from shotdeconv.model import Exponential, ModelParams, PointMass
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -108,13 +110,41 @@ class TestBuildHistogram:
 
     @pytest.mark.parametrize("value", [1e20, 1e300, -1e19])
     def test_bin_index_range(self, value):
-        with pytest.raises(InvalidParameterError, match=r"2\*\*53"):
+        with pytest.raises(InvalidParameterError, match=r"2\*\*52"):
             build_histogram(np.full(10, value))
 
     def test_bin_index_range_edge(self):
-        hist = build_histogram(np.full(3, 2.0**53))
-        assert hist.l_min == hist.l_max == 2**53
+        edge = 2**52 - 1
+        hist = build_histogram(np.full(3, float(edge)))
+        assert hist.l_min == hist.l_max == edge
         assert hist.centers.shape == (1,)
+        for value in (2.0**52, -(2.0**52)):
+            with pytest.raises(InvalidParameterError, match=r"2\*\*52"):
+                build_histogram(np.full(3, value))
+
+    @pytest.mark.parametrize("width", [1.0, 0.5, 2.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_center_half_bin_above_edge_at_index_bound(self, width, sign):
+        # l + 1/2 is exact for |l| < 2**52, so at power-of-two widths the
+        # center sits exactly half a bin above the bin's lower edge
+        l = sign * (2**52 - 1)
+        hist = build_histogram(np.full(3, l * width), width)
+        assert hist.l_min == l
+        assert hist.centers[0] - l * width == width / 2
+
+    @pytest.mark.parametrize(
+        "values, shown",
+        [([0.0, 5e-324], "is 0"), ([-1e308, 1e308], "is inf")],
+        ids=["span-underflow", "span-overflow"],
+    )
+    def test_default_width_out_of_range(self, values, shown):
+        with pytest.raises(InvalidParameterError) as info:
+            build_histogram(np.array(values))
+        message = str(info.value)
+        assert "sample range" in message and "default 4096 bins" in message
+        assert shown in message
+        assert "pass a bin_width or rescale the sample" in message
+        assert "bin_width must be > 0" not in message
 
 
 class TestHistogramType:
@@ -272,8 +302,6 @@ class TestHistogramCfBounds:
 class TestEcfDeviation:
     def test_structure_and_determinism(self):
         params = ModelParams(2.0, 1.0, 2.0)
-        from shotdeconv.model import Exponential
-
         a = ecf_deviation(params, Exponential(1.0), (200, 400), runs=3, base_seed=5,
                           u_max=4.0, grid_count=17)
         b = ecf_deviation(params, Exponential(1.0), (200, 400), runs=3, base_seed=5,
@@ -285,8 +313,6 @@ class TestEcfDeviation:
 
     def test_larger_n_smaller_deviation(self):
         params = ModelParams(2.0, 1.0, 2.0)
-        from shotdeconv.model import Exponential
-
         out = ecf_deviation(params, Exponential(1.0), (100, 10_000), runs=5, base_seed=1,
                             u_max=4.0, grid_count=33)
         assert out[1]["mean_sup"] < out[0]["mean_sup"]
@@ -297,3 +323,45 @@ class TestEcfDeviation:
             ecf_deviation(params, PointMass(1.0), (100,), runs=1, base_seed=0)
         with pytest.raises(InvalidParameterError):
             ecf_deviation(params, PointMass(1.0), (100,), runs=2, base_seed=0, grid_count=10)
+
+
+class TestEcfSupGapKernel:
+    """The blocked power-sum kernel against the defining mean of exp(i u x)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        size=st.sampled_from(
+            [1, _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1, 3 * _SUM_BLOCK + 7]
+        ),
+        # 401 points give 201 frequencies, a ragged 15 x 14 power split
+        grid_count=st.sampled_from([3, 5, 17, 161, 401]),
+        u_max=st.floats(min_value=0.01, max_value=10.0),
+        loc=st.floats(min_value=-5.0, max_value=5.0),
+        scale=st.floats(min_value=0.0, max_value=5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct_mean(self, size, grid_count, u_max, loc, scale, seed):
+        values = loc + scale * np.random.default_rng(seed).standard_normal(size)
+        half = (grid_count - 1) // 2
+        u_step = u_max / half
+        direct, _ = ecf_direct(values, np.arange(half + 1) * u_step)
+        # with the direct ECF as the "true" CF the sup gap is the largest
+        # kernel error over every grid point
+        assert _ecf_sup_gap(values, direct, u_step, half) <= 1e-13
+
+    def test_criterion_5_table_matches_recurrence(self):
+        # recorded with the previous kernel (one chained complex rotation per
+        # frequency, numpy pairwise means), numpy 2.4 on x86-64
+        recorded = [
+            (1_000, 0.055716019823828115, 0.001670053841260349),
+            (10_000, 0.01745501504186507, 0.0006024323690988762),
+            (100_000, 0.0058123102115968115, 0.00021636564685778377),
+        ]
+        table = ecf_deviation(
+            ModelParams(2.0, 1.0, 2.0), Exponential(1.0), (1_000, 10_000, 100_000),
+            runs=50, base_seed=505,
+        )
+        assert [row["n"] for row in table] == [n for n, _, _ in recorded]
+        for row, (_, mean_sup, se) in zip(table, recorded):
+            assert row["mean_sup"] == pytest.approx(mean_sup, rel=1e-12, abs=0)
+            assert row["se"] == pytest.approx(se, rel=1e-12, abs=0)
