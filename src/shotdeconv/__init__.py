@@ -51,7 +51,6 @@ from .model import (
     SmoothnessConfig,
     cf_lower_bound,
     check_smoothness,
-    mark_cf,
     mark_cf_tail_energy,
     mark_sobolev_norm,
     marks_from_json,
@@ -83,7 +82,6 @@ __all__ = [
     "MarkDistribution",
     "SmoothnessConfig",
     "normalize",
-    "mark_cf",
     "true_shot_cf",
     "cf_lower_bound",
     "mark_sobolev_norm",

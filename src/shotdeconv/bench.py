@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ecf import build_histogram, ecf_from_histogram
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _check_count, _check_number
 from .estimator import (
     EstimatorConfig,
     XGrid,
@@ -63,9 +63,7 @@ _TABLE_X_GRID = XGrid(0.0, 30.0 / 2047, 2048)
 
 def table_cutoff(n):
     """Calibrated inversion cutoff for a table run at sample size `n`."""
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    logn = math.log10(n)
+    logn = math.log10(_check_number(n, "n", ge=1))
     (lo_x, lo_y), *rest = _CUTOFF_ANCHORS
     if logn <= lo_x:
         return lo_y
@@ -80,9 +78,7 @@ def table_cutoff(n):
 
 def table_renormalize(n):
     """Calibrated renormalization choice for a table run at sample size `n`."""
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    return n < _RENORMALIZE_BELOW
+    return _check_number(n, "n", ge=1) < _RENORMALIZE_BELOW
 
 
 def sup_error(estimate, marks, coverage_tol=1e-4):
@@ -129,13 +125,12 @@ class McReport:
     wall_time_seconds: float
 
     def __post_init__(self):
+        _check_count(self.runs, "runs", minimum=2)
         errors = tuple(float(e) for e in self.per_run_errors)
         if len(errors) != self.runs:
             raise InvalidParameterError(
                 f"runs={self.runs} but {len(errors)} per-run errors recorded"
             )
-        if self.runs < 2:
-            raise InvalidParameterError(f"runs must be >= 2, got {self.runs}")
         mean = math.fsum(errors) / self.runs
         var = math.fsum((e - mean) ** 2 for e in errors) / (self.runs - 1)
         if abs(mean - self.mean_sup_error) > 1e-12 * max(1.0, abs(mean)):
@@ -215,18 +210,16 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
     -------
     list of McReport
     """
-    if runs < 2:
-        raise InvalidParameterError(f"runs must be >= 2, got {runs}")
+    runs = _check_count(runs, "runs", minimum=2)
+    jobs = _check_count(jobs, "jobs")
     if x_grid is None:
         x_grid = _TABLE_X_GRID
     reports = []
     for n in n_list:
-        n = int(n)
-        cutoff = float(cutoffs[n]) if cutoffs and n in cutoffs else table_cutoff(n)
-        renorm = table_renormalize(n) if renormalize is None else bool(renormalize)
-        bin_width = None
-        if bin_widths and n in bin_widths and bin_widths[n] is not None:
-            bin_width = float(bin_widths[n])
+        n = _check_count(n, "n")
+        cutoff = cutoffs[n] if cutoffs and n in cutoffs else table_cutoff(n)
+        renorm = table_renormalize(n) if renormalize is None else renormalize
+        bin_width = bin_widths.get(n) if bin_widths else None
         config = _tier_config(params, cutoff, renorm, x_grid, bin_width)
         tasks = [
             (params, marks, n, derive_seed(base_seed, 0, run), config)
@@ -244,15 +237,15 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
                 "ratio": params.ratio,
             },
             "marks": marks_to_json(marks),
-            "base_seed": int(base_seed),
+            "base_seed": base_seed,
             "estimator": {
-                "cutoff": cutoff,
+                "cutoff": config.cutoff,
                 "s": config.s,
                 "C": "adaptive",
                 "kappa": "theorem",
                 "kappa_exponent": config.kappa_exponent,
-                "bin_width": "auto" if bin_width is None else bin_width,
-                "renormalize": renorm,
+                "bin_width": "auto" if config.bin_width is None else config.bin_width,
+                "renormalize": config.renormalize,
             },
             "x_grid": {"start": x_grid.start, "step": x_grid.step, "count": x_grid.count},
         }
@@ -304,7 +297,7 @@ def run_rate_check(params, marks, n_list, runs, base_seed, jobs=1):
     dict
         ``{"slope", "half_width", "n", "mean_sup_errors"}``.
     """
-    distinct = sorted({int(n) for n in n_list})
+    distinct = sorted({_check_count(n, "n") for n in n_list})
     if len(distinct) < 3:
         raise InvalidParameterError(f"need at least 3 distinct n values, got {distinct}")
     reports = run_table1(params, marks, n_list=n_list, runs=runs,
@@ -347,19 +340,19 @@ def run_lower_bound_audit(params, marks, smoothness, n=100_000, seed=20_240,
         raise InvalidParameterError(
             f"marks fail the smoothness-class check: {admissibility}"
         )
-    grid_count = int(grid_count)
-    if grid_count < 3 or grid_count % 2 == 0:
-        raise InvalidParameterError(f"grid_count must be odd and >= 3, got {grid_count}")
+    grid_count = _check_count(grid_count, "grid_count", minimum=3)
+    if grid_count % 2 == 0:
+        raise InvalidParameterError(f"grid_count must be odd, got {grid_count}")
     half = (grid_count - 1) // 2
-    u_step = float(u_max) / half
+    u_step = _check_number(u_max, "u_max", gt=0) / half
     u = np.arange(-half, half + 1) * u_step
     phi = np.asarray(true_shot_cf(params, marks, u))
     bound = cf_lower_bound(smoothness, params, u)
     slack = np.abs(phi) - bound
     worst = int(np.argmin(slack))
 
-    series = simulate_series(params, marks, int(n), seed=seed)
-    cut = theorem_cutoff(int(n), smoothness.s, params.ratio)
+    series = simulate_series(params, marks, n, seed=seed)
+    cut = theorem_cutoff(n, smoothness.s, params.ratio)
     kappa = theorem_threshold(cut, adaptive_C(series.values), params.ratio)
     hist = build_histogram(series.values)
     ecf = ecf_from_histogram(hist, u_step, half)

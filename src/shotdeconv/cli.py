@@ -5,7 +5,8 @@ settings; command-line flags override individual values. All outputs are
 deterministic given the config and seed, with floats printed at 17
 significant digits so repeated runs are byte-identical.
 
-Exit codes: 0 success, 2 configuration or input error, 3 numerical failure.
+Exit codes: 0 success, 1 failure to write an output file, 2 configuration or
+input error (an unreadable input file included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -84,7 +85,9 @@ def _load_config(path):
             raw = json.load(handle)
     except FileNotFoundError:
         _fail(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        _fail(f"could not read config file {path}: {exc}")
+    except ValueError as exc:
         _fail(f"config file {path} is not valid JSON: {exc}")
     _check_keys(raw, _TOP_KEYS, "config")
     if "model" not in raw or "marks" not in raw:
@@ -112,7 +115,7 @@ def _resolve_model(raw):
 def _resolve_seed(raw, args):
     if getattr(args, "seed", None) is not None:
         return args.seed
-    return int(raw.get("seed", 0))
+    return raw.get("seed", 0)
 
 
 def _resolve_n(raw, args, default=None):
@@ -121,13 +124,15 @@ def _resolve_n(raw, args, default=None):
         n = raw.get("n", default)
     if n is None:
         _fail("sample size required: pass --n or set 'n' in the config")
-    return int(n)
+    return n
 
 
 def _resolve_out_dir(raw, args):
     out = getattr(args, "out", None)
     if out is None:
         out = raw.get("output", {}).get("dir", ".")
+        if not isinstance(out, str):
+            _fail(f"config.output.dir must be a string, got {out!r}")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -140,17 +145,20 @@ def _resolve_x_grid(section):
     for key in ("start", "step", "count"):
         if key not in grid:
             _fail(f"config.estimator.x_grid is missing {key!r}")
-    return XGrid(float(grid["start"]), float(grid["step"]), int(grid["count"]))
+    return XGrid(grid["start"], grid["step"], grid["count"])
 
 
 def _resolve_estimator_config(raw, args, params, n):
     section = dict(raw.get("estimator", {}))
+    use_theorem_bandwidth = section.get("use_theorem_bandwidth", False)
+    if not isinstance(use_theorem_bandwidth, bool):
+        _fail(f"use_theorem_bandwidth must be true or false, got {use_theorem_bandwidth!r}")
     cutoff = getattr(args, "cutoff", None)
     if cutoff is None:
         cutoff = section.get("cutoff")
     if cutoff is None:
-        if section.get("use_theorem_bandwidth"):
-            cutoff = theorem_cutoff(n, float(section.get("s", 1.0)), params.ratio)
+        if use_theorem_bandwidth:
+            cutoff = theorem_cutoff(n, section.get("s", 1.0), params.ratio)
         else:
             _fail(
                 "estimator cutoff unspecified: pass --cutoff, set estimator.cutoff, "
@@ -159,7 +167,8 @@ def _resolve_estimator_config(raw, args, params, n):
     c_value = getattr(args, "C", None)
     if c_value is None:
         c_value = section.get("C", "adaptive")
-    if isinstance(c_value, str) and c_value != "adaptive":
+    elif c_value != "adaptive":
+        # --C arrives as text: the one setting whose flag is parsed here
         try:
             c_value = float(c_value)
         except ValueError:
@@ -172,14 +181,14 @@ def _resolve_estimator_config(raw, args, params, n):
         bin_width = section.get("bin_width")
     return EstimatorConfig(
         ratio=params.ratio,
-        cutoff=float(cutoff),
-        s=float(section.get("s", 1.0)),
+        cutoff=cutoff,
+        s=section.get("s", 1.0),
         kappa=kappa,
         C=c_value,
-        kappa_exponent=int(section.get("kappa_exponent", 2)),
+        kappa_exponent=section.get("kappa_exponent", 2),
         bin_width=bin_width,
         x_grid=_resolve_x_grid(section),
-        renormalize=bool(section.get("renormalize", False)),
+        renormalize=section.get("renormalize", False),
     )
 
 
@@ -189,8 +198,8 @@ def _sidecar(raw, seed, n, extra=None):
         "version": __version__,
         "model": dict(raw["model"]),
         "marks": marks_to_json(marks_from_json(raw["marks"])),
-        "seed": int(seed),
-        "n": int(n),
+        "seed": seed,
+        "n": n,
     }
     if extra:
         meta.update(extra)
@@ -199,8 +208,11 @@ def _sidecar(raw, seed, n, extra=None):
 
 def _read_series_file(path):
     if path.endswith(".f64le") or path.endswith(".bin"):
-        with open(path, "rb") as handle:
-            data = handle.read()
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError as exc:
+            _fail(f"could not read series file {path}: {exc}")
         if len(data) == 0 or len(data) % 8:
             _fail(f"{path} is not a whole number of little-endian float64 values")
         values = np.frombuffer(data, dtype="<f8")
@@ -344,7 +356,7 @@ def _cmd_hill(args):
         out = _resolve_out_dir(raw, args)
         write_text(
             os.path.join(out, "hill.json"),
-            dumps_json({"ratio_estimate": estimate, "k": int(k_used), "n": int(values.size)}),
+            dumps_json({"ratio_estimate": estimate, "k": k_used, "n": values.size}),
         )
     return 0
 

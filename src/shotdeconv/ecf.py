@@ -21,7 +21,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.signal import CZT
 
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError, _check_count, _check_number
 from .model import true_shot_cf
 from .simulate import derive_seed, simulate_series
 
@@ -89,13 +89,9 @@ class Histogram:
     mass: np.ndarray
 
     def __post_init__(self):
-        width = float(self.bin_width)
-        if not (math.isfinite(width) and width > 0):
-            raise InvalidParameterError(f"bin_width must be > 0, got {width}")
-        l_min = int(self.l_min)
-        l_max = int(self.l_max)
-        if l_max < l_min:
-            raise InvalidParameterError(f"l_max {l_max} < l_min {l_min}")
+        width = _check_number(self.bin_width, "bin_width", gt=0)
+        l_min = _check_count(self.l_min, "l_min", minimum=1 - _EXACT_INDEX)
+        l_max = _check_count(self.l_max, "l_max", minimum=l_min)
         mass = np.asarray(self.mass, dtype=float)
         if mass.ndim != 1 or mass.size != l_max - l_min + 1:
             raise InvalidParameterError(
@@ -148,9 +144,7 @@ def build_histogram(sample, bin_width=None):
                 "outside the positive finite floats; pass a bin_width or rescale the sample"
             )
     else:
-        width = float(bin_width)
-        if not (math.isfinite(width) and width > 0):
-            raise InvalidParameterError(f"bin_width must be > 0, got {width}")
+        width = _check_number(bin_width, "bin_width", gt=0)
     l_min = math.floor(lo / width)
     l_max = max(math.ceil(hi / width) - 1, l_min)
     if max(abs(l_min), abs(l_max)) >= _EXACT_INDEX:
@@ -191,12 +185,8 @@ class EcfGrid:
     phi_prime: np.ndarray
 
     def __post_init__(self):
-        step = float(self.u_step)
-        if not (math.isfinite(step) and step > 0):
-            raise InvalidParameterError(f"u_step must be > 0, got {step}")
-        half = int(self.half_count)
-        if half < 1:
-            raise InvalidParameterError(f"half_count must be >= 1, got {half}")
+        step = _check_number(self.u_step, "u_step", gt=0)
+        half = _check_count(self.half_count, "half_count")
         phi = np.asarray(self.phi, dtype=complex)
         dphi = np.asarray(self.phi_prime, dtype=complex)
         size = 2 * half + 1
@@ -265,8 +255,9 @@ def ecf_direct(sample, u):
     return phi, dphi
 
 
-def _czt_fft_len(n_bins, half_count):
-    return next_fast_len(n_bins + 2 * half_count, real=False)
+def _czt_fft_len(n, m):
+    """FFT length of a chirp-z transform of `n` inputs to `m` outputs."""
+    return next_fast_len(n + m - 1, real=False)
 
 
 def ecf_from_histogram(hist, u_step, half_count):
@@ -294,20 +285,16 @@ def ecf_from_histogram(hist, u_step, half_count):
     ResourceLimitError
         If the internal FFT length would exceed 2^28 points.
     """
-    step = float(u_step)
-    if not (math.isfinite(step) and step > 0):
-        raise InvalidParameterError(f"u_step must be > 0, got {step}")
-    half = int(half_count)
-    if half < 1:
-        raise InvalidParameterError(f"half_count must be >= 1, got {half}")
+    step = _check_number(u_step, "u_step", gt=0)
+    half = _check_count(half_count, "half_count")
     n_bins = hist.mass.size
-    fft_len = _czt_fft_len(n_bins, half)
+    size = 2 * half + 1
+    fft_len = _czt_fft_len(n_bins, size)
     if fft_len > _FFT_CAP:
         raise ResourceLimitError(
             f"chirp-z transform would need an FFT of {fft_len} > {_FFT_CAP} points; "
             "reduce half_count or increase bin_width"
         )
-    size = 2 * half + 1
     omega = step * hist.bin_width
     w = np.exp(1j * omega)
     a = np.exp(1j * omega * half)
@@ -419,26 +406,24 @@ def ecf_deviation(params, marks, n_list, runs, base_seed, u_max=8.0, grid_count=
     list of dict
         One entry per n: ``{"n", "mean_sup", "se"}``.
     """
-    if runs < 2:
-        raise InvalidParameterError(f"runs must be >= 2, got {runs}")
-    u_max = float(u_max)
-    if not (math.isfinite(u_max) and u_max > 0):
-        raise InvalidParameterError(f"u_max must be > 0, got {u_max}")
-    grid_count = int(grid_count)
-    if grid_count < 3 or grid_count % 2 == 0:
-        raise InvalidParameterError(f"grid_count must be odd and >= 3, got {grid_count}")
+    runs = _check_count(runs, "runs", minimum=2)
+    u_max = _check_number(u_max, "u_max", gt=0)
+    grid_count = _check_count(grid_count, "grid_count", minimum=3)
+    if grid_count % 2 == 0:
+        raise InvalidParameterError(f"grid_count must be odd, got {grid_count}")
     half = (grid_count - 1) // 2
     u_step = u_max / half
     u_half = np.arange(half + 1) * u_step
     phi_true_half = np.asarray(true_shot_cf(params, marks, u_half))
     out = []
     for tier, n in enumerate(n_list):
+        n = _check_count(n, "n")
         sups = np.empty(runs)
         for run in range(runs):
             seed = derive_seed(base_seed, tier, run)
-            series = simulate_series(params, marks, int(n), seed=seed)
+            series = simulate_series(params, marks, n, seed=seed)
             sups[run] = _ecf_sup_gap(series.values, phi_true_half, u_step, half)
         mean = float(sups.mean())
         se = float(sups.std(ddof=1) / math.sqrt(runs))
-        out.append({"n": int(n), "mean_sup": mean, "se": se})
+        out.append({"n": n, "mean_sup": mean, "se": se})
     return out

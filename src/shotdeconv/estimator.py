@@ -16,8 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import czt
 
-from .ecf import EcfGrid, build_histogram, checked_sample, ecf_from_histogram
-from .errors import InvalidParameterError, NumericalFailure
+from .ecf import (
+    _FFT_CAP,
+    EcfGrid,
+    _czt_fft_len,
+    build_histogram,
+    checked_sample,
+    ecf_from_histogram,
+)
+from .errors import (
+    InvalidParameterError,
+    NumericalFailure,
+    ResourceLimitError,
+    _check_count,
+    _check_number,
+)
 from .serialize import csv_text
 
 __all__ = [
@@ -49,18 +62,9 @@ class XGrid:
     count: int
 
     def __post_init__(self):
-        start = float(self.start)
-        step = float(self.step)
-        count = int(self.count)
-        if not math.isfinite(start):
-            raise InvalidParameterError(f"start must be finite, got {start}")
-        if not (math.isfinite(step) and step > 0):
-            raise InvalidParameterError(f"step must be > 0, got {step}")
-        if count < 2:
-            raise InvalidParameterError(f"count must be >= 2, got {count}")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "start", _check_number(self.start, "start"))
+        object.__setattr__(self, "step", _check_number(self.step, "step", gt=0))
+        object.__setattr__(self, "count", _check_count(self.count, "count", minimum=2))
 
     @property
     def values(self):
@@ -108,44 +112,23 @@ class EstimatorConfig:
     renormalize: bool = False
 
     def __post_init__(self):
-        ratio = float(self.ratio)
-        if not (math.isfinite(ratio) and ratio > 0):
-            raise InvalidParameterError(f"ratio must be > 0, got {ratio}")
-        cutoff = float(self.cutoff)
-        if not (math.isfinite(cutoff) and cutoff > 0):
-            raise InvalidParameterError(f"cutoff must be > 0, got {cutoff}")
-        s = float(self.s)
-        if not (math.isfinite(s) and s > 0.5):
-            raise InvalidParameterError(f"s must be > 1/2, got {s}")
+        object.__setattr__(self, "ratio", _check_number(self.ratio, "ratio", gt=0))
+        object.__setattr__(self, "cutoff", _check_number(self.cutoff, "cutoff", gt=0))
+        object.__setattr__(self, "s", _check_number(self.s, "s", gt=0.5))
         if self.kappa is not None:
-            kappa = float(self.kappa)
-            if not (0.0 < kappa < 1.0):
-                raise InvalidParameterError(f"kappa must be in (0, 1), got {kappa}")
-            object.__setattr__(self, "kappa", kappa)
-        if self.C != "adaptive":
-            try:
-                c_val = float(self.C)
-            except (TypeError, ValueError):
-                raise InvalidParameterError(
-                    f"C must be a number or 'adaptive', got {self.C!r}"
-                ) from None
-            if not (math.isfinite(c_val) and c_val > 0):
-                raise InvalidParameterError(f"C must be > 0 or 'adaptive', got {self.C!r}")
-            object.__setattr__(self, "C", c_val)
-        if self.kappa_exponent not in (1, 2):
-            raise InvalidParameterError(
-                f"kappa_exponent must be 1 or 2, got {self.kappa_exponent!r}"
-            )
+            object.__setattr__(self, "kappa", _check_number(self.kappa, "kappa", gt=0, lt=1))
+        if not (isinstance(self.C, str) and self.C == "adaptive"):
+            object.__setattr__(self, "C", _check_number(self.C, "C (or 'adaptive')", gt=0))
+        exponent = _check_count(self.kappa_exponent, "kappa_exponent", minimum=1, maximum=2)
+        object.__setattr__(self, "kappa_exponent", exponent)
         if self.bin_width is not None:
-            width = float(self.bin_width)
-            if not (math.isfinite(width) and width > 0):
-                raise InvalidParameterError(f"bin_width must be > 0, got {width}")
-            object.__setattr__(self, "bin_width", width)
+            object.__setattr__(self, "bin_width", _check_number(self.bin_width, "bin_width", gt=0))
         if self.x_grid is not None and not isinstance(self.x_grid, XGrid):
             raise InvalidParameterError("x_grid must be an XGrid or None")
-        object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "s", s)
+        if not isinstance(self.renormalize, bool):
+            raise InvalidParameterError(
+                f"renormalize must be True or False, got {self.renormalize!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,17 +170,10 @@ def theorem_bandwidth(n, s, ratio):
     ratio : float
         Intensity over decay rate, >= 0.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise InvalidParameterError(f"n must be an integer, got {n!r}")
-    if n < 3:
-        raise InvalidParameterError(f"n must be >= 3, got {n}")
-    s = float(s)
-    if not (math.isfinite(s) and s > 0.5):
-        raise InvalidParameterError(f"s must be > 1/2, got {s}")
-    ratio = float(ratio)
-    if not (math.isfinite(ratio) and ratio >= 0):
-        raise InvalidParameterError(f"ratio must be >= 0, got {ratio}")
-    return float(n) ** (-1.0 / (2.0 * s + 1.0 + 2.0 * ratio))
+    n = _check_count(n, "n", minimum=3)
+    s = _check_number(s, "s", gt=0.5)
+    ratio = _check_number(ratio, "ratio", ge=0)
+    return n ** (-1.0 / (2.0 * s + 1.0 + 2.0 * ratio))
 
 
 def theorem_cutoff(n, s, ratio):
@@ -213,18 +189,11 @@ def theorem_threshold(cutoff, C, ratio, exponent=2):
     underflows is raised to the smallest normal double, which keeps it a
     valid threshold that suppresses nothing.
     """
-    cutoff = float(cutoff)
-    if not (math.isfinite(cutoff) and cutoff >= 0):
-        raise InvalidParameterError(f"cutoff must be >= 0, got {cutoff}")
-    c_val = float(C)
-    if not (math.isfinite(c_val) and c_val > 0):
-        raise InvalidParameterError(f"C must be > 0, got {C!r}")
-    if exponent not in (1, 2):
-        raise InvalidParameterError(f"exponent must be 1 or 2, got {exponent!r}")
-    ratio = float(ratio)
-    if not (math.isfinite(ratio) and ratio >= 0):
-        raise InvalidParameterError(f"ratio must be >= 0, got {ratio}")
-    return max(c_val * (1.0 + cutoff) ** (-float(exponent) * ratio), _TINY)
+    cutoff = _check_number(cutoff, "cutoff", ge=0)
+    c_val = _check_number(C, "C", gt=0)
+    exponent = _check_count(exponent, "exponent", minimum=1, maximum=2)
+    ratio = _check_number(ratio, "ratio", ge=0)
+    return max(c_val * (1.0 + cutoff) ** (-exponent * ratio), _TINY)
 
 
 def _adaptive_C(values):
@@ -268,12 +237,8 @@ def mark_cf_estimate(grid, ratio, kappa):
     """
     if not isinstance(grid, EcfGrid):
         raise InvalidParameterError("grid must be an EcfGrid")
-    ratio = float(ratio)
-    if not (math.isfinite(ratio) and ratio > 0):
-        raise InvalidParameterError(f"ratio must be > 0, got {ratio}")
-    kappa = float(kappa)
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise InvalidParameterError(f"kappa must be > 0, got {kappa}")
+    ratio = _check_number(ratio, "ratio", gt=0)
+    kappa = _check_number(kappa, "kappa", gt=0)
     u = grid.u
     abs_phi = np.abs(grid.phi)
     keep = abs_phi > kappa
@@ -324,14 +289,16 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, config=None, diagnostics=Non
     values = np.asarray(mark_cf, dtype=complex)
     if values.ndim != 1 or values.size < 3 or values.size % 2 == 0:
         raise InvalidParameterError("mark_cf must be a 1-d complex array of odd length >= 3")
-    step = float(u_step)
-    if not (math.isfinite(step) and step > 0):
-        raise InvalidParameterError(f"u_step must be > 0, got {step}")
-    cutoff = float(cutoff)
-    if not (math.isfinite(cutoff) and cutoff > 0):
-        raise InvalidParameterError(f"cutoff must be > 0, got {cutoff}")
+    step = _check_number(u_step, "u_step", gt=0)
+    cutoff = _check_number(cutoff, "cutoff", gt=0)
     if not isinstance(x_grid, XGrid):
         raise InvalidParameterError("x_grid must be an XGrid")
+    fft_len = _czt_fft_len(values.size, x_grid.count)
+    if fft_len > _FFT_CAP:
+        raise ResourceLimitError(
+            f"inversion chirp-z transform would need an FFT of {fft_len} > {_FFT_CAP} "
+            "points; reduce the x_grid count"
+        )
     half = (values.size - 1) // 2
     span = half * step
     if span < cutoff * (1.0 - 1e-12):
@@ -499,11 +466,7 @@ def hill_ratio(sample, k=None):
     n = values.size
     if k is None:
         k = default_hill_k(n)
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise InvalidParameterError(f"k must be an integer, got {k!r}")
-    k = int(k)
-    if not 1 <= k <= n - 1:
-        raise InvalidParameterError(f"k must be in [1, {n - 1}], got {k}")
+    k = _check_count(k, "k", maximum=n - 1)
     recip = 1.0 / values
     part = np.partition(recip, n - k - 1)
     pivot = part[n - k - 1]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import InvalidParameterError, NumericalFailure
+from .errors import InvalidParameterError, NumericalFailure, _check_number
 
 __all__ = [
     "ModelParams",
@@ -26,7 +26,6 @@ __all__ = [
     "MarkDistribution",
     "SmoothnessConfig",
     "normalize",
-    "mark_cf",
     "true_shot_cf",
     "cf_lower_bound",
     "mark_sobolev_norm",
@@ -41,15 +40,6 @@ __all__ = [
 # Entries per block of the simulator's per-pulse arithmetic: a block's few
 # float and index arrays (512 KiB each) stay in a core's L2 cache.
 _BLOCK = 65_536
-
-
-def _require_finite_number(value, name):
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -74,15 +64,9 @@ class ModelParams:
     ratio: float
 
     def __post_init__(self):
-        lam = _require_finite_number(self.lambda_norm, "lambda_norm")
-        alpha = _require_finite_number(self.alpha_norm, "alpha_norm")
-        ratio = _require_finite_number(self.ratio, "ratio")
-        if lam < 0:
-            raise InvalidParameterError(f"lambda_norm must be >= 0, got {lam}")
-        if alpha <= 0:
-            raise InvalidParameterError(f"alpha_norm must be > 0, got {alpha}")
-        if ratio < 0:
-            raise InvalidParameterError(f"ratio must be >= 0, got {ratio}")
+        lam = _check_number(self.lambda_norm, "lambda_norm", ge=0)
+        alpha = _check_number(self.alpha_norm, "alpha_norm", gt=0)
+        ratio = _check_number(self.ratio, "ratio", ge=0)
         implied = lam / alpha
         scale = max(abs(implied), abs(ratio))
         if abs(ratio - implied) > 1e-12 * max(scale, 1e-300):
@@ -112,15 +96,9 @@ def normalize(lambda_phys, alpha_phys, delta):
         ``lambda_norm = lambda_phys * delta``, ``alpha_norm = alpha_phys * delta``
         and ``ratio = lambda_phys / alpha_phys``.
     """
-    lam = _require_finite_number(lambda_phys, "lambda_phys")
-    alpha = _require_finite_number(alpha_phys, "alpha_phys")
-    step = _require_finite_number(delta, "delta")
-    if lam < 0:
-        raise InvalidParameterError(f"lambda_phys must be >= 0, got {lam}")
-    if alpha <= 0:
-        raise InvalidParameterError(f"alpha_phys must be > 0, got {alpha}")
-    if step <= 0:
-        raise InvalidParameterError(f"delta must be > 0, got {step}")
+    lam = _check_number(lambda_phys, "lambda_phys", ge=0)
+    alpha = _check_number(alpha_phys, "alpha_phys", gt=0)
+    step = _check_number(delta, "delta", gt=0)
     return ModelParams(lam * step, alpha * step, lam / alpha)
 
 
@@ -143,9 +121,9 @@ class GaussianMixture:
     sds: tuple
 
     def __post_init__(self):
-        weights = tuple(_require_finite_number(w, "weight") for w in self.weights)
-        means = tuple(_require_finite_number(m, "mean") for m in self.means)
-        sds = tuple(_require_finite_number(s, "sd") for s in self.sds)
+        weights = tuple(_check_number(w, "weight", ge=0) for w in self.weights)
+        means = tuple(_check_number(m, "mean") for m in self.means)
+        sds = tuple(_check_number(s, "sd", gt=0) for s in self.sds)
         if not weights:
             raise InvalidParameterError("mixture needs at least one component")
         if len(weights) != len(means) or len(weights) != len(sds):
@@ -153,13 +131,9 @@ class GaussianMixture:
                 f"component arrays disagree in length: {len(weights)} weights, "
                 f"{len(means)} means, {len(sds)} sds"
             )
-        if any(w < 0 for w in weights):
-            raise InvalidParameterError(f"weights must be nonnegative, got {weights}")
         total = math.fsum(weights)
         if abs(total - 1.0) > 1e-12:
             raise InvalidParameterError(f"weights must sum to 1, got {total!r}")
-        if any(s <= 0 for s in sds):
-            raise InvalidParameterError(f"sds must be strictly positive, got {sds}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "sds", sds)
@@ -185,9 +159,7 @@ class GaussianMixture:
 
     def abs_moment(self, order):
         """E|Y|^order by numeric integration."""
-        order = _require_finite_number(order, "order")
-        if order < 0:
-            raise InvalidParameterError(f"order must be >= 0, got {order}")
+        order = _check_number(order, "order", ge=0)
 
         def integrand(y):
             return abs(y) ** order * self.pdf(y)
@@ -236,10 +208,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        rate = _require_finite_number(self.rate, "rate")
-        if rate <= 0:
-            raise InvalidParameterError(f"rate must be > 0, got {rate}")
-        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "rate", _check_number(self.rate, "rate", gt=0))
 
     def cf(self, u):
         u_arr = np.asarray(u, dtype=float)
@@ -255,9 +224,7 @@ class Exponential:
         return 1.0 / self.rate
 
     def abs_moment(self, order):
-        order = _require_finite_number(order, "order")
-        if order < 0:
-            raise InvalidParameterError(f"order must be >= 0, got {order}")
+        order = _check_number(order, "order", ge=0)
         return math.gamma(order + 1.0) / self.rate**order
 
     def sample(self, rng, size):
@@ -271,7 +238,7 @@ class PointMass:
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _require_finite_number(self.value, "value"))
+        object.__setattr__(self, "value", _check_number(self.value, "value"))
 
     def cf(self, u):
         u_arr = np.asarray(u, dtype=float)
@@ -285,9 +252,7 @@ class PointMass:
         return self.value
 
     def abs_moment(self, order):
-        order = _require_finite_number(order, "order")
-        if order < 0:
-            raise InvalidParameterError(f"order must be >= 0, got {order}")
+        order = _check_number(order, "order", ge=0)
         return abs(self.value) ** order
 
     def sample(self, rng, size):
@@ -313,25 +278,10 @@ class SmoothnessConfig:
     m: float
 
     def __post_init__(self):
-        s = _require_finite_number(self.s, "s")
-        big_k = _require_finite_number(self.K, "K")
-        big_l = _require_finite_number(self.L, "L")
-        extra = _require_finite_number(self.m, "m")
-        if s <= 0.5:
-            raise InvalidParameterError(f"s must be > 1/2, got {s}")
-        if big_k <= 0 or big_l <= 0 or extra <= 0:
-            raise InvalidParameterError(
-                f"K, L, m must all be > 0, got K={big_k}, L={big_l}, m={extra}"
-            )
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "K", big_k)
-        object.__setattr__(self, "L", big_l)
-        object.__setattr__(self, "m", extra)
-
-
-def mark_cf(marks, u):
-    """Characteristic function of the mark law at `u` (scalar or array)."""
-    return marks.cf(u)
+        object.__setattr__(self, "s", _check_number(self.s, "s", gt=0.5))
+        object.__setattr__(self, "K", _check_number(self.K, "K", gt=0))
+        object.__setattr__(self, "L", _check_number(self.L, "L", gt=0))
+        object.__setattr__(self, "m", _check_number(self.m, "m", gt=0))
 
 
 def true_shot_cf(params, marks, u, rel_tol=1e-8, _max_depth=60):
@@ -365,9 +315,7 @@ def true_shot_cf(params, marks, u, rel_tol=1e-8, _max_depth=60):
         If the quadrature does not converge within ``2**_max_depth``
         subintervals. The best available value is attached as ``partial``.
     """
-    rel_tol = _require_finite_number(rel_tol, "rel_tol")
-    if not 0.0 < rel_tol <= 1e-2:
-        raise InvalidParameterError(f"rel_tol must be in (0, 1e-2], got {rel_tol}")
+    rel_tol = _check_number(rel_tol, "rel_tol", gt=0, le=1e-2)
     u_arr = np.asarray(u, dtype=float)
     u_flat = np.atleast_1d(u_arr).ravel()
     if not np.all(np.isfinite(u_flat)):
@@ -417,9 +365,7 @@ def mark_sobolev_norm(marks, s):
         exponential marks for s >= 1/2, where the integrand decays like
         u^(2s-2)).
     """
-    s = _require_finite_number(s, "s")
-    if s <= 0:
-        raise InvalidParameterError(f"s must be > 0, got {s}")
+    s = _check_number(s, "s", gt=0)
     if isinstance(marks, PointMass):
         raise InvalidParameterError(
             "Sobolev integral diverges for a point mass (|mark_cf| = 1 everywhere)"
@@ -496,7 +442,7 @@ def _check_no_unknown(obj, allowed, where):
 def _get_number(obj, key, where):
     if key not in obj:
         raise InvalidParameterError(f"missing field {key!r} in {where}")
-    return _require_finite_number(obj[key], f"{where}.{key}")
+    return _check_number(obj[key], f"{where}.{key}")
 
 
 def marks_to_json(marks):
@@ -538,9 +484,9 @@ def marks_from_json(obj):
 def model_to_json(lambda_phys, alpha_phys, delta, marks):
     """Combined JSON dict for physical parameters plus the mark law."""
     return {
-        "lambda": float(lambda_phys),
-        "alpha": float(alpha_phys),
-        "delta": float(delta),
+        "lambda": _check_number(lambda_phys, "lambda_phys"),
+        "alpha": _check_number(alpha_phys, "alpha_phys"),
+        "delta": _check_number(delta, "delta"),
         "marks": marks_to_json(marks),
     }
 

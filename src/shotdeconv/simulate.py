@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _check_count, _check_number
 from .model import _BLOCK
 from .serialize import csv_text
 
@@ -41,21 +41,7 @@ _SEED_MAX = 2**64
 
 
 def _check_seed(seed):
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
-    if not 0 <= seed < _SEED_MAX:
-        raise InvalidParameterError(f"seed must be in [0, 2^64), got {seed}")
-    return seed
-
-
-def _check_count(value, name, minimum=1):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if value < minimum:
-        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
-    return value
+    return _check_count(seed, "seed", minimum=0, maximum=_SEED_MAX - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +123,7 @@ def derive_seed(base_seed, *indices):
     stream can be regenerated without drawing the others.
     """
     base_seed = _check_seed(base_seed)
-    key = tuple(int(i) for i in indices)
+    key = tuple(_check_count(i, "stream index", minimum=0) for i in indices)
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -284,12 +270,8 @@ def simulate_trace(params, marks, horizon, grid_step, seed=0):
     -------
     MarkedEventTrace
     """
-    horizon = float(horizon)
-    grid_step = float(grid_step)
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise InvalidParameterError(f"horizon must be > 0, got {horizon}")
-    if not (math.isfinite(grid_step) and grid_step > 0):
-        raise InvalidParameterError(f"grid_step must be > 0, got {grid_step}")
+    horizon = _check_number(horizon, "horizon", gt=0)
+    grid_step = _check_number(grid_step, "grid_step", gt=0)
     seed = _check_seed(seed)
     rng = np.random.default_rng(seed)
 

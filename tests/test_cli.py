@@ -6,6 +6,7 @@ sure the `python -m shotdeconv.cli` entry point works as installed.
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -524,3 +525,155 @@ class TestRandomInputProperty:
         assert "Traceback" not in captured.err
         if code:
             assert captured.err.startswith(("error: ", "numerical failure: "))
+
+
+class TestUnreadableInput:
+    """An input file that cannot be read is an input error (exit 2), not exit 1."""
+
+    def test_missing_f64le_exits_2(self, tmp_path, capsys):
+        config = _gamma_config(tmp_path)
+        path = tmp_path / "nope.f64le"
+        assert cli.main(["estimate", "--config", str(config), "--in", str(path)]) == 2
+        assert f"could not read series file {path}" in capsys.readouterr().err
+
+    def test_directory_f64le_exits_2(self, tmp_path, capsys):
+        config = _gamma_config(tmp_path)
+        path = tmp_path / "dir.f64le"
+        path.mkdir()
+        assert cli.main(["hill", "--config", str(config), "--in", str(path)]) == 2
+        assert f"could not read series file {path}" in capsys.readouterr().err
+
+    def test_directory_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.mkdir()
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert f"could not read config file {path}" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert "valid JSON" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        config = _gamma_config(tmp_path, n=200)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(config), "--out", str(blocker)]) == 1
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+def _set_key(config, path, value):
+    """`config` with the value at the dotted `path` replaced by `value`."""
+    *parents, leaf = path.split(".")
+    node = config
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    return config
+
+
+def _estimate_with(tmp_path, path, value):
+    """Run ``estimate`` on the n=500 Gamma config with one key set to `value`."""
+    config = _gamma_config(tmp_path, n=500)
+    raw = _set_key(json.loads(config.read_text(encoding="utf-8")), path, value)
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    return cli.main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")])
+
+
+class TestConfigValueTypes:
+    """A wrongly typed config value exits 2 with the library's own check."""
+
+    # (key, its name in the error message, kind): every number, count and flag
+    # setting of the config; "optional" numbers take null as "unset"
+    KEYS = [
+        ("seed", "seed", "count"),
+        ("n", "n", "count"),
+        ("model.lambda", "lambda_phys", "number"),
+        ("model.alpha", "alpha_phys", "number"),
+        ("model.delta", "delta", "number"),
+        ("estimator.cutoff", "cutoff", "number"),
+        ("estimator.s", "s", "number"),
+        ("estimator.kappa", "kappa", "optional"),
+        ("estimator.C", "C", "number"),
+        ("estimator.kappa_exponent", "kappa_exponent", "count"),
+        ("estimator.bin_width", "bin_width", "optional"),
+        ("estimator.renormalize", "renormalize", "flag"),
+        ("estimator.use_theorem_bandwidth", "use_theorem_bandwidth", "flag"),
+        ("estimator.x_grid.start", "start", "number"),
+        ("estimator.x_grid.step", "step", "number"),
+        ("estimator.x_grid.count", "count", "count"),
+    ]
+
+    # values no number, count or flag accepts; "adaptive" is C's one string
+    _never = st.one_of(
+        st.booleans(),
+        st.sampled_from(["1", "2.5", "nan", "abc", "", "true"]),
+        st.text(max_size=6).filter(lambda t: t != "adaptive"),
+        st.lists(st.integers(0, 3), max_size=3),
+        st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+    )
+    WRONG = {
+        "number": st.one_of(st.none(), _never),
+        "optional": _never,
+        # fractional or integral floats: never a count, and never a large one
+        "count": st.one_of(
+            st.none(), _never,
+            st.floats(min_value=1.0, max_value=600.0),
+            st.integers(1, 600).map(float),
+        ),
+        # numbers are not flags either
+        "flag": st.one_of(
+            st.none(), st.sampled_from([0, 1, 0.0, 1.0, "no", "yes", "false"]),
+            st.lists(st.booleans(), max_size=2),
+        ),
+    }
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_wrong_type_exits_2_naming_the_key(self, tmp_path, capsys, data):
+        path, name, kind = data.draw(st.sampled_from(self.KEYS), label="key")
+        value = data.draw(self.WRONG[kind], label="value")
+        code = _estimate_with(tmp_path, path, value)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert re.search(rf"\b{name}\b", err), err
+
+    # Each used to crash with a raw ValueError (exit 1) or to be read as
+    # another value: "no" as True, 2.5 as 2, true as 1.0 and 2000.7 as 2000.
+    @pytest.mark.parametrize(
+        ("path", "value", "name"),
+        [
+            ("estimator.s", "abc", "s"),
+            ("estimator.kappa", "abc", "kappa"),
+            ("estimator.kappa_exponent", "abc", "kappa_exponent"),
+            ("estimator.bin_width", "abc", "bin_width"),
+            ("estimator.cutoff", "abc", "cutoff"),
+            ("estimator.x_grid.start", "abc", "start"),
+            ("seed", "abc", "seed"),
+            ("n", "abc", "n"),
+            ("estimator.renormalize", "no", "renormalize"),
+            ("estimator.kappa_exponent", 2.5, "kappa_exponent"),
+            ("estimator.cutoff", True, "cutoff"),
+            ("n", 2000.7, "n"),
+        ],
+    )
+    def test_former_crash_or_misread_exits_2(self, tmp_path, capsys, path, value, name):
+        assert _estimate_with(tmp_path, path, value) == 2
+        assert re.search(rf"\b{name} must be\b", capsys.readouterr().err)
+
+    def test_numeric_string_C_is_not_converted(self, tmp_path, capsys):
+        assert _estimate_with(tmp_path, "estimator.C", "0.5") == 2
+        assert "C (or 'adaptive') must be" in capsys.readouterr().err
+
+    def test_output_dir_must_be_a_string(self, tmp_path, capsys):
+        config = _gamma_config(tmp_path, n=200, output={"dir": 5})
+        assert cli.main(["simulate", "--config", str(config)]) == 2
+        assert "config.output.dir" in capsys.readouterr().err
+
+    def test_x_grid_count_past_fft_cap_exits_2(self, tmp_path, capsys):
+        code = _estimate_with(tmp_path, "estimator.x_grid.count", 2**28)
+        assert code == 2
+        assert "x_grid count" in capsys.readouterr().err

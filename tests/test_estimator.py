@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shotdeconv.ecf import EcfGrid, build_histogram
+from shotdeconv.ecf import _FFT_CAP, EcfGrid, build_histogram
 from shotdeconv.errors import InvalidParameterError, NumericalFailure, ResourceLimitError
 from shotdeconv.estimator import (
     DensityEstimate,
@@ -241,6 +242,19 @@ class TestInvertDensity:
             invert_density(np.ones(65, complex), 0.05, 1.0, x_grid)
         with pytest.raises(InvalidParameterError):
             invert_density(np.ones(65, complex), 0.01, 0.64, "grid")
+
+    def test_x_grid_count_past_fft_cap_fails_before_allocating(self):
+        # 65 inputs to _FFT_CAP outputs need an FFT of at least _FFT_CAP + 64
+        # points; the check runs before any array of that size exists
+        x_grid = XGrid(0.0, 0.1, _FFT_CAP)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="FFT.*x_grid count"):
+                invert_density(np.ones(65, complex), 0.01, 0.64, x_grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_asymmetric_input_fails_with_partial(self):
         # killing the negative-frequency half makes the integral complex

@@ -1,0 +1,50 @@
+"""Module layering: each package module imports only modules before it.
+
+The order is errors -> serialize -> model -> simulate -> ecf -> estimator
+-> bench -> cli. The package ``__init__`` re-exports every layer and is
+exempt; ``cli`` may import ``__version__`` from it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ORDER = ["errors", "serialize", "model", "simulate", "ecf", "estimator", "bench", "cli"]
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "shotdeconv"
+
+
+def _package_imports(path):
+    """(line, module) for every import of a sibling package module in `path`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                # "from .x import y", or "from . import x" (module x, or a name of __init__)
+                names = [node.module] if node.module else [a.name for a in node.names]
+            elif node.level == 0 and (node.module or "").startswith("shotdeconv."):
+                names = [node.module.split(".")[1]]
+            else:
+                continue
+        elif isinstance(node, ast.Import):
+            names = [a.name.split(".")[1] for a in node.names if a.name.startswith("shotdeconv.")]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names if name in ORDER)
+    return found
+
+
+def test_every_module_is_in_the_order():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(ORDER)
+
+
+@pytest.mark.parametrize("module", ORDER)
+def test_imports_point_backwards_only(module):
+    rank = ORDER.index(module)
+    late = [
+        f"{module}.py:{line} imports {name}"
+        for line, name in _package_imports(PACKAGE / f"{module}.py")
+        if ORDER.index(name) >= rank
+    ]
+    assert not late, late

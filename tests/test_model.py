@@ -15,7 +15,6 @@ from shotdeconv.model import (
     SmoothnessConfig,
     cf_lower_bound,
     check_smoothness,
-    mark_cf,
     mark_cf_tail_energy,
     mark_sobolev_norm,
     marks_from_json,
@@ -382,12 +381,6 @@ class TestSmoothnessChecks:
         report = check_smoothness(Exponential(1.0), cfg)
         assert report["moment_ok"] is False
         assert report["admissible"] is False
-
-
-class TestMarkCfDispatch:
-    def test_matches_method(self, ref_marks):
-        u = np.linspace(-1, 1, 5)
-        assert np.allclose(mark_cf(ref_marks, u), ref_marks.cf(u))
 
 
 class TestJsonSerde:
