@@ -268,6 +268,8 @@ def loglog_slope(n_values, errors):
     e_arr = np.asarray(errors, dtype=float)
     if n_arr.size != e_arr.size or n_arr.size < 2:
         raise InvalidParameterError("need at least two (n, error) pairs of equal length")
+    if not (np.isfinite(n_arr).all() and np.isfinite(e_arr).all()):
+        raise InvalidParameterError("n and errors must be finite for log-log fit")
     if np.any(n_arr <= 0) or np.any(e_arr <= 0):
         raise InvalidParameterError("n and errors must be strictly positive for log-log fit")
     x = np.log(n_arr)
@@ -346,7 +348,9 @@ def run_lower_bound_audit(params, marks, smoothness, n=100_000, seed=20_240,
     half = (grid_count - 1) // 2
     u_step = _check_number(u_max, "u_max", gt=0) / half
     u = np.arange(-half, half + 1) * u_step
-    phi = np.asarray(true_shot_cf(params, marks, u))
+    # the CF is conjugate-symmetric: evaluate u >= 0 and mirror the rest
+    phi_pos = np.asarray(true_shot_cf(params, marks, u[half:]))
+    phi = np.concatenate([np.conj(phi_pos[:0:-1]), phi_pos])
     bound = cf_lower_bound(smoothness, params, u)
     slack = np.abs(phi) - bound
     worst = int(np.argmin(slack))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -27,6 +28,7 @@ from .bench import (
     run_lower_bound_audit,
     run_table1,
 )
+from .ecf import checked_sample
 from .errors import InvalidParameterError, NumericalFailure, ResourceLimitError
 from .estimator import (
     EstimatorConfig,
@@ -61,7 +63,7 @@ _ESTIMATOR_KEYS = {
     "renormalize",
 }
 _SMOOTHNESS_KEYS = {"s", "K", "L", "m"}
-_OUTPUT_KEYS = {"dir", "formats"}
+_OUTPUT_KEYS = {"dir"}
 _TOP_KEYS = {"model", "marks", "estimator", "smoothness", "seed", "n", "output"}
 
 
@@ -221,9 +223,13 @@ def _read_series_file(path):
             values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
         except (OSError, ValueError) as exc:
             _fail(f"could not read series CSV {path}: {exc}")
-        values = np.asarray(values, dtype=float)
-    finite = np.isfinite(values)
-    if not finite.all():
+    try:
+        values, _, _ = checked_sample(values)
+    except InvalidParameterError:
+        # the full-length finiteness mask is built only to name the position
+        finite = np.isfinite(values)
+        if finite.all():
+            raise
         first = int(np.argmin(finite)) + 1
         _fail(f"{path} holds a non-finite value (NaN or infinity) at series position {first}")
     return values
@@ -337,6 +343,11 @@ def _read_errors_csv(path):
         _fail(f"malformed errors CSV {path}: {exc}")
     if rows.shape[1] != 2:
         _fail(f"{path} must have exactly two columns")
+    for row, (n, error) in enumerate(rows.tolist(), start=1):
+        if not (math.isfinite(n) and n == math.floor(n)):
+            _fail(f"{path} data row {row}: n must be a finite whole number, got {n!r}")
+        if not math.isfinite(error):
+            _fail(f"{path} data row {row}: mean_sup_error must be finite, got {error!r}")
     return rows[:, 0], rows[:, 1]
 
 

@@ -22,7 +22,7 @@ from scipy.fft import next_fast_len
 from scipy.signal import CZT
 
 from .errors import InvalidParameterError, ResourceLimitError, _check_count, _check_number
-from .model import true_shot_cf
+from .model import _BLOCK, true_shot_cf
 from .simulate import derive_seed, simulate_series
 
 __all__ = [
@@ -121,6 +121,14 @@ def build_histogram(sample, bin_width=None):
     Bins are right-open, the last one right-closed; a value exactly on the
     upper edge of the range therefore still lands in the top bin.
 
+    The sample is binned ``model._BLOCK`` values at a time (or one block
+    per bin count, when there are more bins than that): each block's
+    offsets ``floor(x / w) - l_min`` go into two reused block buffers (one
+    float, one index), and the block's integer bin counts are added into
+    one counts array. Integer sums are exact, so the masses do not depend
+    on the block size, and the memory beyond the sample is
+    O(block + bins): about 1 MiB for the buffers plus the counts.
+
     Parameters
     ----------
     sample : SampleSeries or array_like
@@ -159,12 +167,23 @@ def build_histogram(sample, bin_width=None):
             f"sample range {hi - lo:g} at bin_width {width:g} needs {nbins} bins "
             f"(cap {_FFT_CAP}); increase bin_width"
         )
-    # floor(x / w) - l_min in one buffer; the subtraction is exact in
-    # floating point because both terms are integers at most nbins apart
-    offsets = np.divide(values, width)
-    np.floor(offsets, out=offsets)
-    offsets -= float(l_min)
-    counts = np.bincount(offsets.astype(np.intp), minlength=nbins + 1)
+    # floor(x / w) - l_min block by block, in two reused block buffers; the
+    # subtraction is exact in floating point because both terms are integers
+    # at most nbins apart, and integer counts add up exactly over the blocks
+    # at least nbins values per block, so that a block's bincount over all
+    # nbins + 1 bins never costs more than the block itself
+    step = max(_BLOCK, nbins)
+    counts = np.zeros(nbins + 1, dtype=np.intp)
+    offsets = np.empty(min(values.size, step))
+    index = np.empty(offsets.size, dtype=np.intp)
+    for start in range(0, values.size, step):
+        block = values[start : start + step]
+        off = offsets[: block.size]
+        idx = index[: block.size]
+        np.divide(block, width, out=off)
+        np.floor(off, out=off)
+        np.subtract(off, float(l_min), out=idx, casting="unsafe")
+        counts += np.bincount(idx, minlength=nbins + 1)
     # index nbins holds only values exactly on the top edge hi = (l_max+1)*w
     counts[nbins - 1] += counts[nbins]
     mass = counts[:nbins] / values.size

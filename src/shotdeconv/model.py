@@ -37,8 +37,9 @@ __all__ = [
     "model_from_json",
 ]
 
-# Entries per block of the simulator's per-pulse arithmetic: a block's few
-# float and index arrays (512 KiB each) stay in a core's L2 cache.
+# Entries per block of the simulator's per-pulse arithmetic and of the
+# histogram binning: a block's few float and index arrays (512 KiB each)
+# stay in a core's L2 cache.
 _BLOCK = 65_536
 
 

@@ -123,6 +123,21 @@ class TestLoglogSlope:
             loglog_slope([10, 100], [0.0, 1.0])
 
 
+    @pytest.mark.parametrize(
+        "n_values, errors",
+        [
+            ([10, float("inf"), 1000], [1.0, 0.1, 0.01]),
+            ([10, float("nan"), 1000], [1.0, 0.1, 0.01]),
+            ([10, 100, 1000], [1.0, float("nan"), 0.01]),
+            ([10, 100, 1000], [1.0, float("inf"), 0.01]),
+        ],
+        ids=["inf-n", "nan-n", "nan-error", "inf-error"],
+    )
+    def test_non_finite_rejected(self, n_values, errors):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            loglog_slope(n_values, errors)
+
+
 class TestRunTable1:
     def test_deterministic_and_jobs_invariant(self, gamma_params, gamma_marks):
         kwargs = dict(

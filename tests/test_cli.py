@@ -9,6 +9,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from shotdeconv import cli
 from shotdeconv.errors import NumericalFailure
-from shotdeconv.model import Exponential, ModelParams, normalize
+from shotdeconv.model import _BLOCK, Exponential, ModelParams, normalize
 from shotdeconv.simulate import simulate_series
 
 
@@ -677,3 +678,144 @@ class TestConfigValueTypes:
         code = _estimate_with(tmp_path, "estimator.x_grid.count", 2**28)
         assert code == 2
         assert "x_grid count" in capsys.readouterr().err
+
+
+class TestSeriesReader:
+    """The reader checks finiteness without a full-length mask, naming the position on failure."""
+
+    def test_f64le_peak_is_the_input(self, tmp_path):
+        values = np.random.default_rng(3).gamma(3.0, 4.0, 1_000_000)
+        path = tmp_path / "series.f64le"
+        path.write_bytes(values.astype("<f8").tobytes())
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            read = cli._read_series_file(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(read, values)
+        assert peak - start < size + 2**19
+
+    @pytest.mark.parametrize("suffix", ["f64le", "csv"])
+    @pytest.mark.parametrize("position", [1, _BLOCK + 3, 2 * _BLOCK + 5])
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_message_names_the_position(self, tmp_path, capsys, suffix, position, bad):
+        values = np.linspace(0.5, 3.0, 2 * _BLOCK + 5)
+        values[position - 1] = bad
+        if position < values.size:
+            # a later bad value too: the first one is named
+            values[-1] = float("inf")
+        path = tmp_path / f"series.{suffix}"
+        if suffix == "f64le":
+            path.write_bytes(values.astype("<f8").tobytes())
+        else:
+            rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist(), start=1))
+            path.write_text("index,value\n" + rows, encoding="utf-8")
+        config = _gamma_config(tmp_path)
+        code = cli.main(["estimate", "--config", str(config), "--in", str(path),
+                         "--out", str(tmp_path / "o"), "--cutoff", "0.8"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} holds a non-finite value (NaN or infinity) "
+            f"at series position {position}\n"
+        )
+
+    def test_header_only_csv_is_an_empty_sample(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        path.write_text("index,value\n", encoding="utf-8")
+        config = _gamma_config(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main(["hill", "--config", str(config), "--in", str(path)])
+        assert code == 2
+        assert "nonempty" in capsys.readouterr().err
+
+
+class TestRateErrorsInput:
+    """Every row of a `bench --rate --errors` CSV must hold a whole n and a finite error."""
+
+    @staticmethod
+    def _run(tmp_path, rows):
+        config = _gamma_config(tmp_path)
+        errors = tmp_path / "errors.csv"
+        errors.write_text("n,mean_sup_error\n" + rows, encoding="utf-8")
+        out = tmp_path / "o"
+        code = cli.main(["bench", "--config", str(config), "--rate",
+                         "--errors", str(errors), "--out", str(out)])
+        return code, errors, out
+
+    def test_fractional_n_exits_2(self, tmp_path, capsys):
+        code, errors, out = self._run(tmp_path, "1000.7,0.1\n10000.2,0.05\n100000.9,0.02\n")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {errors} data row 1: n must be a finite whole number, got 1000.7\n"
+        )
+        assert not (out / "rate.json").exists()
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_n_exits_2(self, tmp_path, capsys, bad):
+        code, errors, _ = self._run(tmp_path, f"1000,0.1\n{bad},0.05\n100000,0.02\n")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {errors} data row 2: n must be a finite whole number, got {bad}\n"
+        )
+
+    def test_nan_error_exits_2(self, tmp_path, capsys):
+        code, errors, out = self._run(tmp_path, "1000,0.1\n10000,0.05\n100000,nan\n")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {errors} data row 3: mean_sup_error must be finite, got nan\n"
+        )
+        assert not (out / "rate.json").exists()
+
+    def test_whole_float_n_is_accepted(self, tmp_path, capsys):
+        code, _, out = self._run(tmp_path, "1e3,0.1\n10000.0,0.05\n100000,0.02\n")
+        assert code == 0
+        capsys.readouterr()
+        assert json.loads((out / "rate.json").read_text())["n"] == [1000, 10000, 100000]
+
+
+def test_output_formats_key_is_unknown(tmp_path, capsys):
+    config = _gamma_config(tmp_path, output={"dir": str(tmp_path / "o"), "formats": ["csv"]})
+    assert cli.main(["simulate", "--config", str(config), "--n", "10"]) == 2
+    assert "unknown fields ['formats'] in config.output" in capsys.readouterr().err
+
+
+class TestAuditOutputPinning:
+    """Digests of `shotdeconv bench --audit` on the two criterion-7 configurations.
+
+    Recorded with numpy 2.4 and scipy 1.17 on x86-64 with AVX-512, before the
+    oracle was evaluated on u >= 0 only and mirrored; the mirror must give
+    the same bytes.
+    """
+
+    CONFIGS = {
+        "exponential": (
+            {"model": {"lambda": 2.0, "alpha": 1.0, "delta": 1.0},
+             "marks": {"type": "exponential", "rate": 1.0},
+             "smoothness": {"s": 1.0, "K": 121.0, "L": 0.378, "m": 1.0}},
+            "7b1f27eb42718dbf1b2c09e726eafcf2d9ffd02990f6b8f048912392994fb4df",
+        ),
+        "reference-mixture": (
+            {"model": {"lambda": 100.0, "alpha": 80.0, "delta": 1.0},
+             "marks": {"type": "gaussian_mixture", "weights": [0.3, 0.5, 0.2],
+                       "means": [4.0, 12.0, 22.0], "sds": [1.0, 1.0, 0.5]},
+             "smoothness": {"s": 1.0, "K": 2144336.471210152,
+                            "L": 1.1529710227033925, "m": 1.2}},
+            "80b85b41c6f9b6ef1760e28594bdbc623f469472285588819ecdb46b541cae40",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_digest(self, tmp_path, capsys, name):
+        config, digest = self.CONFIGS[name]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["bench", "--config", str(path), "--audit",
+                         "--seed", "4", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("audit passed")
+        assert hashlib.sha256((out / "audit.json").read_bytes()).hexdigest() == digest

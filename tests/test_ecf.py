@@ -18,7 +18,7 @@ from shotdeconv.ecf import (
     _ecf_sup_gap,
 )
 from shotdeconv.errors import InvalidParameterError, ResourceLimitError
-from shotdeconv.model import Exponential, ModelParams, PointMass
+from shotdeconv.model import _BLOCK, Exponential, ModelParams, PointMass
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -145,6 +145,65 @@ class TestBuildHistogram:
         assert shown in message
         assert "pass a bin_width or rescale the sample" in message
         assert "bin_width must be > 0" not in message
+
+
+
+def _one_shot_mass(values, hist):
+    """Masses from one floor/bincount over the whole sample (no blocks)."""
+    nbins = hist.mass.size
+    offsets = np.floor(values / hist.bin_width) - hist.l_min
+    counts = np.bincount(offsets.astype(np.intp), minlength=nbins + 1)
+    counts[nbins - 1] += counts[nbins]
+    return counts[:nbins] / values.size
+
+
+class TestBlockedBinning:
+    """Binning block by block counts exactly what one pass over the sample counts."""
+
+    SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("width", [0.25, None])
+    def test_extremes_in_last_block(self, size, width):
+        rng = np.random.default_rng(size)
+        values = rng.uniform(-3.0, 5.0, size)
+        # the minimum and a value exactly on the top edge (5 = 20 * 0.25)
+        # sit in the last block, the maximum last of all
+        values[-2] = -3.0
+        values[-1] = 5.0
+        hist = build_histogram(values, width)
+        assert hist.l_min == math.floor(-3.0 / hist.bin_width)
+        assert np.array_equal(hist.mass, _one_shot_mass(values, hist))
+        if width is not None:
+            # the top edge folds into the last bin: (l_max + 1) * w == 5
+            assert hist.l_max == 19
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_negative_values(self, size):
+        rng = np.random.default_rng(size + 1)
+        values = rng.normal(-30.0, 7.0, size)
+        for width in (None, 0.1, 3.0):
+            hist = build_histogram(values, width)
+            assert np.array_equal(hist.mass, _one_shot_mass(values, hist))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_more_bins_than_block(self, size):
+        # 2 * _BLOCK bins (the top edge folds into the last): blocks grow
+        # to the bin count
+        values = np.random.default_rng(size + 2).uniform(0.0, 2.0 * _BLOCK, size)
+        values[-1] = 2.0 * _BLOCK
+        values[-2] = 0.0
+        hist = build_histogram(values, 1.0)
+        assert hist.mass.size == 2 * _BLOCK
+        assert np.array_equal(hist.mass, _one_shot_mass(values, hist))
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("value", [2.5, 2.0, -7.25])
+    def test_constant_sample(self, size, value):
+        hist = build_histogram(np.full(size, value))
+        assert hist.bin_width == 1.0
+        assert hist.l_min == hist.l_max == math.floor(value)
+        assert hist.mass.tolist() == [1.0]
 
 
 class TestHistogramType:

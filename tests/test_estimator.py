@@ -318,6 +318,39 @@ class TestEstimateDensity:
             estimate_density(series, {"cutoff": 2.0})
 
 
+
+def _traced_peak_above_start(fn, *args):
+    """Peak traced allocation, in bytes above the level at the call's start."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+class TestEstimatePathMemory:
+    """At n = 1e6 the estimate path allocates O(block + bins), not O(n)."""
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        return np.random.default_rng(9).gamma(3.0, 4.0, 1_000_000)
+
+    def test_build_histogram_peak(self, sample):
+        build_histogram(sample)
+        assert _traced_peak_above_start(build_histogram, sample) < 2 * 2**20
+
+    def test_estimate_density_peak(self, sample):
+        # the default x-grid runs the quantile and its 1 B/sample mask too
+        cfg = EstimatorConfig(ratio=1.25, cutoff=0.8)
+        # a first call fills the FFT plan caches
+        estimate_density(sample, cfg)
+        assert _traced_peak_above_start(estimate_density, sample, cfg) < 2 * 2**20
+
+
 class TestHistogramQuantile:
     """The default x-grid's quantile equals np.quantile, read from the top bins."""
 
