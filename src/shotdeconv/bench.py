@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,7 +81,12 @@ def table_renormalize(n):
     return _check_number(n, "n", ge=1) < _RENORMALIZE_BELOW
 
 
-def sup_error(estimate, marks, coverage_tol=1e-4):
+# the true pdf one grid step beyond each end of an error grid must be below
+# this, or the grid stops short of the support
+_COVERAGE_TOL = 1e-4
+
+
+def sup_error(estimate, marks):
     """Sup over the evaluation grid of |estimate - true pdf|.
 
     Parameters
@@ -89,23 +94,20 @@ def sup_error(estimate, marks, coverage_tol=1e-4):
     estimate : DensityEstimate
     marks : MarkDistribution
         Must expose a true pdf.
-    coverage_tol : float, optional
-        The true pdf must be below this one grid step beyond each end of
-        the grid, guarding against grids that stop short of the support.
-        A grid starting exactly at a support boundary (density 0 outside)
-        passes.
 
     Raises
     ------
     InvalidParameterError
-        When the density just outside the grid exceeds `coverage_tol`.
+        When the true pdf one grid step beyond either end of the grid
+        exceeds 1e-4: the grid does not cover the support. A grid starting
+        exactly at a support boundary (density 0 outside) passes.
     """
     x = estimate.x_grid
     step = float(x[1] - x[0]) if x.size > 1 else 1.0
     edge = max(float(marks.pdf(x[0] - step)), float(marks.pdf(x[-1] + step)))
-    if edge > coverage_tol:
+    if edge > _COVERAGE_TOL:
         raise InvalidParameterError(
-            f"true density just outside the x_grid is {edge:g} > {coverage_tol:g}; "
+            f"true density just outside the x_grid is {edge:g} > {_COVERAGE_TOL:g}; "
             "the grid does not cover the support"
         )
     truth = marks.pdf(x)
@@ -114,48 +116,30 @@ def sup_error(estimate, marks, coverage_tol=1e-4):
 
 @dataclass(frozen=True)
 class McReport:
-    """Aggregated Monte-Carlo errors for one sample size."""
+    """Aggregated Monte-Carlo errors for one sample size.
+
+    ``runs``, ``mean_sup_error`` and ``variance_sup_error`` (the unbiased
+    sample variance) are derived from ``per_run_errors``, which needs at
+    least two entries.
+    """
 
     n: int
-    runs: int
-    mean_sup_error: float
-    variance_sup_error: float
     per_run_errors: tuple
     config_snapshot: dict
     wall_time_seconds: float
+    runs: int = field(init=False)
+    mean_sup_error: float = field(init=False)
+    variance_sup_error: float = field(init=False)
 
     def __post_init__(self):
-        _check_count(self.runs, "runs", minimum=2)
         errors = tuple(float(e) for e in self.per_run_errors)
-        if len(errors) != self.runs:
-            raise InvalidParameterError(
-                f"runs={self.runs} but {len(errors)} per-run errors recorded"
-            )
-        mean = math.fsum(errors) / self.runs
-        var = math.fsum((e - mean) ** 2 for e in errors) / (self.runs - 1)
-        if abs(mean - self.mean_sup_error) > 1e-12 * max(1.0, abs(mean)):
-            raise InvalidParameterError(
-                f"mean_sup_error {self.mean_sup_error!r} inconsistent with per-run errors"
-            )
-        if abs(var - self.variance_sup_error) > 1e-12 * max(1.0, abs(var)):
-            raise InvalidParameterError(
-                f"variance_sup_error {self.variance_sup_error!r} inconsistent with per-run errors"
-            )
+        runs = _check_count(len(errors), "runs", minimum=2)
+        mean = math.fsum(errors) / runs
+        var = math.fsum((e - mean) ** 2 for e in errors) / (runs - 1)
         object.__setattr__(self, "per_run_errors", errors)
-
-
-def _tier_config(params, cutoff, renormalize, x_grid, bin_width):
-    return EstimatorConfig(
-        ratio=params.ratio,
-        cutoff=cutoff,
-        s=1.0,
-        kappa=None,
-        C="adaptive",
-        kappa_exponent=2,
-        bin_width=bin_width,
-        x_grid=x_grid,
-        renormalize=renormalize,
-    )
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "mean_sup_error", mean)
+        object.__setattr__(self, "variance_sup_error", var)
 
 
 def _one_table_error(task):
@@ -174,16 +158,18 @@ def _run_tasks(tasks, jobs):
 
 
 def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
-               base_seed=2024, jobs=1, cutoffs=None, x_grid=None, renormalize=None,
-               bin_widths=None):
+               base_seed=2024, jobs=1):
     """Monte-Carlo sup-error table over sample sizes.
 
     For each entry of `n_list`, simulates `runs` independent series, estimates
-    the mark density and aggregates sup-norm errors against the true pdf. Run
-    `r` uses the seed ``derive_seed(base_seed, 0, r)`` at every sample size
-    (common random numbers across tiers), so each report depends only on
-    `base_seed` and its own `n`, never on which other sizes were requested.
-    The result is deterministic given `base_seed`, independent of `jobs`.
+    the mark density with the calibrated settings of that size
+    (`table_cutoff`, `table_renormalize`, the automatic bin width) and
+    aggregates sup-norm errors against the true pdf on 2048 points of
+    [0, 30]. Run `r` uses the seed ``derive_seed(base_seed, 0, r)`` at every
+    sample size (common random numbers across tiers), so each report depends
+    only on `base_seed` and its own `n`, never on which other sizes were
+    requested. The result is deterministic given `base_seed`, independent of
+    `jobs`.
 
     Parameters
     ----------
@@ -195,16 +181,6 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
     base_seed : int
     jobs : int, optional
         Worker processes; 1 runs inline.
-    cutoffs : dict, optional
-        Per-n cutoff overrides; defaults to `table_cutoff`.
-    x_grid : XGrid, optional
-        Error-evaluation grid; defaults to 2048 points on [0, 30].
-    renormalize : bool, optional
-        None (the default) takes the calibrated per-size choice from
-        `table_renormalize`; an explicit bool applies to every size.
-    bin_widths : dict, optional
-        Per-n histogram bin-width overrides; defaults to the estimator's
-        automatic choice.
 
     Returns
     -------
@@ -212,15 +188,15 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
     """
     runs = _check_count(runs, "runs", minimum=2)
     jobs = _check_count(jobs, "jobs")
-    if x_grid is None:
-        x_grid = _TABLE_X_GRID
     reports = []
     for n in n_list:
         n = _check_count(n, "n")
-        cutoff = cutoffs[n] if cutoffs and n in cutoffs else table_cutoff(n)
-        renorm = table_renormalize(n) if renormalize is None else renormalize
-        bin_width = bin_widths.get(n) if bin_widths else None
-        config = _tier_config(params, cutoff, renorm, x_grid, bin_width)
+        config = EstimatorConfig(
+            ratio=params.ratio,
+            cutoff=table_cutoff(n),
+            x_grid=_TABLE_X_GRID,
+            renormalize=table_renormalize(n),
+        )
         tasks = [
             (params, marks, n, derive_seed(base_seed, 0, run), config)
             for run in range(runs)
@@ -228,8 +204,6 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
         start = time.perf_counter()
         errors = _run_tasks(tasks, jobs)
         elapsed = time.perf_counter() - start
-        mean = math.fsum(errors) / runs
-        var = math.fsum((e - mean) ** 2 for e in errors) / (runs - 1)
         snapshot = {
             "params": {
                 "lambda_norm": params.lambda_norm,
@@ -240,18 +214,18 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
             "base_seed": base_seed,
             "estimator": {
                 "cutoff": config.cutoff,
-                "s": config.s,
                 "C": "adaptive",
                 "kappa": "theorem",
-                "kappa_exponent": config.kappa_exponent,
-                "bin_width": "auto" if config.bin_width is None else config.bin_width,
+                "bin_width": "auto",
                 "renormalize": config.renormalize,
             },
-            "x_grid": {"start": x_grid.start, "step": x_grid.step, "count": x_grid.count},
+            "x_grid": {
+                "start": _TABLE_X_GRID.start,
+                "step": _TABLE_X_GRID.step,
+                "count": _TABLE_X_GRID.count,
+            },
         }
-        reports.append(
-            McReport(n, runs, mean, var, tuple(errors), snapshot, elapsed)
-        )
+        reports.append(McReport(n, tuple(errors), snapshot, elapsed))
     return reports
 
 
@@ -348,9 +322,7 @@ def run_lower_bound_audit(params, marks, smoothness, n=100_000, seed=20_240,
     half = (grid_count - 1) // 2
     u_step = _check_number(u_max, "u_max", gt=0) / half
     u = np.arange(-half, half + 1) * u_step
-    # the CF is conjugate-symmetric: evaluate u >= 0 and mirror the rest
-    phi_pos = np.asarray(true_shot_cf(params, marks, u[half:]))
-    phi = np.concatenate([np.conj(phi_pos[:0:-1]), phi_pos])
+    phi = true_shot_cf(params, marks, u)
     bound = cf_lower_bound(smoothness, params, u)
     slack = np.abs(phi) - bound
     worst = int(np.argmin(slack))

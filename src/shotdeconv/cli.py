@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .bench import (
     run_table1,
 )
 from .ecf import checked_sample
-from .errors import InvalidParameterError, NumericalFailure, ResourceLimitError
+from .errors import InvalidParameterError, NumericalFailure, ResourceLimitError, _check_number
 from .estimator import (
     EstimatorConfig,
     XGrid,
@@ -39,7 +40,7 @@ from .estimator import (
     hill_ratio,
     theorem_cutoff,
 )
-from .model import SmoothnessConfig, marks_from_json, marks_to_json, normalize
+from .model import SmoothnessConfig, _check_keys, marks_from_json, marks_to_json, normalize
 from .serialize import dumps_json, format_float, write_text
 from .simulate import (
     series_to_csv,
@@ -57,7 +58,6 @@ _ESTIMATOR_KEYS = {
     "use_theorem_bandwidth",
     "C",
     "kappa",
-    "kappa_exponent",
     "bin_width",
     "x_grid",
     "renormalize",
@@ -69,14 +69,6 @@ _TOP_KEYS = {"model", "marks", "estimator", "smoothness", "seed", "n", "output"}
 
 def _fail(message):
     raise InvalidParameterError(message)
-
-
-def _check_keys(obj, allowed, where):
-    if not isinstance(obj, dict):
-        _fail(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        _fail(f"unknown fields {unknown} in {where}")
 
 
 def _load_config(path):
@@ -152,6 +144,8 @@ def _resolve_x_grid(section):
 
 def _resolve_estimator_config(raw, args, params, n):
     section = dict(raw.get("estimator", {}))
+    # s feeds only the theorem bandwidth, but is checked whenever it is given
+    s = _check_number(section.get("s", 1.0), "s", gt=0.5)
     use_theorem_bandwidth = section.get("use_theorem_bandwidth", False)
     if not isinstance(use_theorem_bandwidth, bool):
         _fail(f"use_theorem_bandwidth must be true or false, got {use_theorem_bandwidth!r}")
@@ -160,7 +154,7 @@ def _resolve_estimator_config(raw, args, params, n):
         cutoff = section.get("cutoff")
     if cutoff is None:
         if use_theorem_bandwidth:
-            cutoff = theorem_cutoff(n, section.get("s", 1.0), params.ratio)
+            cutoff = theorem_cutoff(n, s, params.ratio)
         else:
             _fail(
                 "estimator cutoff unspecified: pass --cutoff, set estimator.cutoff, "
@@ -184,10 +178,8 @@ def _resolve_estimator_config(raw, args, params, n):
     return EstimatorConfig(
         ratio=params.ratio,
         cutoff=cutoff,
-        s=section.get("s", 1.0),
         kappa=kappa,
         C=c_value,
-        kappa_exponent=section.get("kappa_exponent", 2),
         bin_width=bin_width,
         x_grid=_resolve_x_grid(section),
         renormalize=section.get("renormalize", False),
@@ -220,9 +212,14 @@ def _read_series_file(path):
         values = np.frombuffer(data, dtype="<f8")
     else:
         try:
-            values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
+            with warnings.catch_warnings():
+                # a header-only file is reported below, with its path
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
         except (OSError, ValueError) as exc:
             _fail(f"could not read series CSV {path}: {exc}")
+        if values.size == 0:
+            _fail(f"series CSV {path} holds no data rows")
     try:
         values, _, _ = checked_sample(values)
     except InvalidParameterError:

@@ -37,7 +37,6 @@ __all__ = [
     "XGrid",
     "EstimatorConfig",
     "DensityEstimate",
-    "theorem_bandwidth",
     "theorem_cutoff",
     "theorem_threshold",
     "adaptive_C",
@@ -82,15 +81,11 @@ class EstimatorConfig:
         via `hill_ratio`). Strictly positive.
     cutoff : float
         Truncation limit of the inversion integral (reciprocal bandwidth).
-    s : float, optional
-        Smoothness exponent fed to the tuning formulas, > 1/2.
     kappa : float or None, optional
         Explicit threshold in (0, 1); when None it is derived from
         `theorem_threshold` with constant `C`.
     C : float or "adaptive", optional
         Threshold constant; "adaptive" uses ``exp(-sample mean)/2``.
-    kappa_exponent : int, optional
-        1 or 2; multiplies `ratio` in the threshold decay exponent.
     bin_width : float or None, optional
         Histogram bin width; None picks about 4096 bins over the sample
         range.
@@ -103,10 +98,8 @@ class EstimatorConfig:
 
     ratio: float
     cutoff: float
-    s: float = 1.0
     kappa: float | None = None
     C: object = "adaptive"
-    kappa_exponent: int = 2
     bin_width: float | None = None
     x_grid: XGrid | None = None
     renormalize: bool = False
@@ -114,13 +107,10 @@ class EstimatorConfig:
     def __post_init__(self):
         object.__setattr__(self, "ratio", _check_number(self.ratio, "ratio", gt=0))
         object.__setattr__(self, "cutoff", _check_number(self.cutoff, "cutoff", gt=0))
-        object.__setattr__(self, "s", _check_number(self.s, "s", gt=0.5))
         if self.kappa is not None:
             object.__setattr__(self, "kappa", _check_number(self.kappa, "kappa", gt=0, lt=1))
         if not (isinstance(self.C, str) and self.C == "adaptive"):
             object.__setattr__(self, "C", _check_number(self.C, "C (or 'adaptive')", gt=0))
-        exponent = _check_count(self.kappa_exponent, "kappa_exponent", minimum=1, maximum=2)
-        object.__setattr__(self, "kappa_exponent", exponent)
         if self.bin_width is not None:
             object.__setattr__(self, "bin_width", _check_number(self.bin_width, "bin_width", gt=0))
         if self.x_grid is not None and not isinstance(self.x_grid, XGrid):
@@ -158,8 +148,10 @@ class DensityEstimate:
         object.__setattr__(self, "theta_hat", theta)
 
 
-def theorem_bandwidth(n, s, ratio):
-    """Rate-optimal bandwidth ``n ** (-1 / (2s + 1 + 2 ratio))``.
+def theorem_cutoff(n, s, ratio):
+    """Inversion truncation limit: the reciprocal of the rate-optimal bandwidth.
+
+    The bandwidth is ``n ** (-1 / (2s + 1 + 2 ratio))``.
 
     Parameters
     ----------
@@ -173,27 +165,19 @@ def theorem_bandwidth(n, s, ratio):
     n = _check_count(n, "n", minimum=3)
     s = _check_number(s, "s", gt=0.5)
     ratio = _check_number(ratio, "ratio", ge=0)
-    return n ** (-1.0 / (2.0 * s + 1.0 + 2.0 * ratio))
+    return 1.0 / n ** (-1.0 / (2.0 * s + 1.0 + 2.0 * ratio))
 
 
-def theorem_cutoff(n, s, ratio):
-    """Reciprocal of `theorem_bandwidth`: the inversion truncation limit."""
-    return 1.0 / theorem_bandwidth(n, s, ratio)
+def theorem_threshold(cutoff, C, ratio):
+    """Threshold ``C * (1 + cutoff) ** (-2 * ratio)`` of the convergence theorem.
 
-
-def theorem_threshold(cutoff, C, ratio, exponent=2):
-    """Threshold ``C * (1 + cutoff) ** (-exponent * ratio)``.
-
-    `exponent` 2 follows the convergence theorem; 1 matches the decay rate
-    of the CF lower bound and is exposed as an alternative. A value that
-    underflows is raised to the smallest normal double, which keeps it a
-    valid threshold that suppresses nothing.
+    A value that underflows is raised to the smallest normal double, which
+    keeps it a valid threshold that suppresses nothing.
     """
     cutoff = _check_number(cutoff, "cutoff", ge=0)
     c_val = _check_number(C, "C", gt=0)
-    exponent = _check_count(exponent, "exponent", minimum=1, maximum=2)
     ratio = _check_number(ratio, "ratio", ge=0)
-    return max(c_val * (1.0 + cutoff) ** (-exponent * ratio), _TINY)
+    return max(c_val * (1.0 + cutoff) ** (-2 * ratio), _TINY)
 
 
 def _adaptive_C(values):
@@ -419,7 +403,7 @@ def estimate_density(sample, config):
         kappa = config.kappa
     else:
         c_val = _adaptive_C(values) if config.C == "adaptive" else config.C
-        kappa = theorem_threshold(config.cutoff, c_val, config.ratio, config.kappa_exponent)
+        kappa = theorem_threshold(config.cutoff, c_val, config.ratio)
     phi_y, diag = mark_cf_estimate(grid, config.ratio, kappa)
     x_grid = config.x_grid if config.x_grid is not None else _default_x_grid(values, hist, config.ratio)
     estimate = invert_density(phi_y, u_step, config.cutoff, x_grid, config=config, diagnostics=diag)

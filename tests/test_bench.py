@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from shotdeconv.bench import (
     table_renormalize,
 )
 from shotdeconv.errors import InvalidParameterError
-from shotdeconv.estimator import DensityEstimate, EstimatorConfig, XGrid
+from shotdeconv.estimator import DensityEstimate, EstimatorConfig
 from shotdeconv.model import Exponential, SmoothnessConfig
 
 
@@ -83,22 +84,20 @@ class TestSupError:
 
 
 class TestMcReport:
-    def test_consistency_enforced(self):
-        errors = (0.1, 0.2, 0.3)
-        mean = math.fsum(errors) / 3
-        var = math.fsum((e - mean) ** 2 for e in errors) / 2
-        report = McReport(100, 3, mean, var, errors, {}, 1.0)
-        assert report.mean_sup_error == pytest.approx(0.2)
-        with pytest.raises(InvalidParameterError, match="inconsistent"):
-            McReport(100, 3, mean + 0.01, var, errors, {}, 1.0)
-        with pytest.raises(InvalidParameterError, match="inconsistent"):
-            McReport(100, 3, mean, var * 2, errors, {}, 1.0)
+    def test_derived_mean_and_variance(self):
+        errors = (0.1, 0.2, 0.3, 0.7)
+        report = McReport(100, errors, {}, 1.0)
+        mean = math.fsum(errors) / 4
+        assert report.runs == 4
+        assert report.mean_sup_error == mean
+        assert report.variance_sup_error == math.fsum((e - mean) ** 2 for e in errors) / 3
+        assert report.per_run_errors == errors
 
     def test_run_count_checks(self):
+        with pytest.raises(InvalidParameterError, match="runs must be an integer >= 2"):
+            McReport(100, (0.1,), {}, 1.0)
         with pytest.raises(InvalidParameterError):
-            McReport(100, 2, 0.1, 0.0, (0.1,), {}, 1.0)
-        with pytest.raises(InvalidParameterError):
-            McReport(100, 1, 0.1, 0.0, (0.1,), {}, 1.0)
+            McReport(100, (), {}, 1.0)
 
 
 class TestLoglogSlope:
@@ -140,10 +139,7 @@ class TestLoglogSlope:
 
 class TestRunTable1:
     def test_deterministic_and_jobs_invariant(self, gamma_params, gamma_marks):
-        kwargs = dict(
-            n_list=(400,), runs=3, base_seed=11,
-            cutoffs={400: 2.0}, x_grid=XGrid(0.0, 0.02, 501),
-        )
+        kwargs = dict(n_list=(400,), runs=3, base_seed=11)
         a = run_table1(gamma_params, gamma_marks, jobs=1, **kwargs)
         b = run_table1(gamma_params, gamma_marks, jobs=1, **kwargs)
         c = run_table1(gamma_params, gamma_marks, jobs=2, **kwargs)
@@ -151,25 +147,27 @@ class TestRunTable1:
         assert reports_to_csv(a) == reports_to_csv(c)
 
     def test_snapshot_and_wall_time(self, gamma_params, gamma_marks):
-        reports = run_table1(
-            gamma_params, gamma_marks, n_list=(300,), runs=2, base_seed=1,
-            cutoffs={300: 2.0}, x_grid=XGrid(0.0, 0.02, 501),
-        )
+        reports = run_table1(gamma_params, gamma_marks, n_list=(300,), runs=2, base_seed=1)
         rep = reports[0]
         assert rep.n == 300 and rep.runs == 2
         assert rep.wall_time_seconds > 0
-        assert rep.config_snapshot["estimator"]["cutoff"] == 2.0
+        assert rep.config_snapshot["estimator"] == {
+            "cutoff": table_cutoff(300),
+            "C": "adaptive",
+            "kappa": "theorem",
+            "bin_width": "auto",
+            "renormalize": table_renormalize(300),
+        }
         assert rep.config_snapshot["marks"]["type"] == "exponential"
 
-    def test_bin_width_override_changes_result(self, gamma_params, gamma_marks):
-        kwargs = dict(
-            n_list=(300,), runs=2, base_seed=1,
-            cutoffs={300: 2.0}, x_grid=XGrid(0.0, 0.02, 501),
+    def test_csv_digest(self, ref_params, ref_marks):
+        # pins table1.csv and table1_runs.csv bit for bit; the two sizes
+        # cover both renormalization choices and an interpolated cutoff
+        reports = run_table1(ref_params, ref_marks, n_list=(2_000, 40_000), runs=3, base_seed=7)
+        text = reports_to_csv(reports) + per_run_errors_to_csv(reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2f2d4e1dbe9ada4febf66907c58fbde29714d91cec554f9f8bf1cfa3eecab163"
         )
-        a = run_table1(gamma_params, gamma_marks, **kwargs)
-        b = run_table1(gamma_params, gamma_marks, bin_widths={300: 0.05}, **kwargs)
-        assert a[0].per_run_errors != b[0].per_run_errors
-        assert b[0].config_snapshot["estimator"]["bin_width"] == 0.05
 
     def test_rejects_single_run(self, gamma_params, gamma_marks):
         with pytest.raises(InvalidParameterError):
@@ -213,10 +211,7 @@ class TestLowerBoundAudit:
 
 class TestReportWriters:
     def _report(self):
-        errors = (0.25, 0.5)
-        mean = math.fsum(errors) / 2
-        var = math.fsum((e - mean) ** 2 for e in errors) / 1
-        return McReport(1000, 2, mean, var, errors, {"estimator": {"cutoff": 2.0}}, 1.5)
+        return McReport(1000, (0.25, 0.5), {"estimator": {"cutoff": 2.0}}, 1.5)
 
     def test_reports_csv_golden(self):
         text = reports_to_csv([self._report()])

@@ -92,6 +92,26 @@ class TestConfigValidation:
         assert cli.main(["estimate", "--config", str(config)]) == 2
         assert "unknown fields" in capsys.readouterr().err
 
+    def test_unknown_model_key_exits_2(self, tmp_path, capsys):
+        config = _gamma_config(tmp_path, model={"lambda": 2.0, "alpha": 1.0, "delta": 1.0, "mu": 1})
+        assert cli.main(["simulate", "--config", str(config)]) == 2
+        assert "unknown fields ['mu'] in config.model" in capsys.readouterr().err
+
+    def test_kappa_exponent_is_an_unknown_key(self, tmp_path, capsys):
+        # the threshold exponent is the theorem's 2, not a setting
+        config = _gamma_config(tmp_path, estimator={"cutoff": 2.0, "kappa_exponent": 2})
+        assert cli.main(["estimate", "--config", str(config)]) == 2
+        assert "unknown fields ['kappa_exponent'] in config.estimator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theorem", [False, True])
+    @pytest.mark.parametrize("s", [0.5, 0.25, -1.0])
+    def test_s_at_most_half_exits_2(self, tmp_path, capsys, s, theorem):
+        # s feeds only the theorem cutoff, but is checked whenever it is given
+        section = {"use_theorem_bandwidth": True} if theorem else {"cutoff": 2.0}
+        config = _gamma_config(tmp_path, estimator={**section, "s": s})
+        assert cli.main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"s must be a finite real number > 0.5, got {s!r}" in capsys.readouterr().err
+
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
@@ -597,7 +617,6 @@ class TestConfigValueTypes:
         ("estimator.s", "s", "number"),
         ("estimator.kappa", "kappa", "optional"),
         ("estimator.C", "C", "number"),
-        ("estimator.kappa_exponent", "kappa_exponent", "count"),
         ("estimator.bin_width", "bin_width", "optional"),
         ("estimator.renormalize", "renormalize", "flag"),
         ("estimator.use_theorem_bandwidth", "use_theorem_bandwidth", "flag"),
@@ -649,14 +668,12 @@ class TestConfigValueTypes:
         [
             ("estimator.s", "abc", "s"),
             ("estimator.kappa", "abc", "kappa"),
-            ("estimator.kappa_exponent", "abc", "kappa_exponent"),
             ("estimator.bin_width", "abc", "bin_width"),
             ("estimator.cutoff", "abc", "cutoff"),
             ("estimator.x_grid.start", "abc", "start"),
             ("seed", "abc", "seed"),
             ("n", "abc", "n"),
             ("estimator.renormalize", "no", "renormalize"),
-            ("estimator.kappa_exponent", 2.5, "kappa_exponent"),
             ("estimator.cutoff", True, "cutoff"),
             ("n", 2000.7, "n"),
         ],
@@ -724,14 +741,17 @@ class TestSeriesReader:
         )
 
     def test_header_only_csv_is_an_empty_sample(self, tmp_path, capsys):
+        # exit 2 naming the file, and no numpy warning (an error here)
         path = tmp_path / "series.csv"
         path.write_text("index,value\n", encoding="utf-8")
         config = _gamma_config(tmp_path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = cli.main(["hill", "--config", str(config), "--in", str(path)])
-        assert code == 2
-        assert "nonempty" in capsys.readouterr().err
+        for command in ("hill", "estimate"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main([command, "--config", str(config), "--in", str(path),
+                                 "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: series CSV {path} holds no data rows\n"
 
 
 class TestRateErrorsInput:

@@ -9,7 +9,7 @@ from shotdeconv.estimator import (
     EstimatorConfig,
     XGrid,
     hill_ratio,
-    theorem_bandwidth,
+    theorem_cutoff,
     theorem_threshold,
 )
 from shotdeconv.model import Exponential, ModelParams, SmoothnessConfig, normalize
@@ -82,10 +82,8 @@ class TestLibraryCases:
             lambda: ecf_from_histogram(build_histogram(np.arange(10.0), 1.0), 0.1, 3.7),
             lambda: EstimatorConfig(ratio=1.0, cutoff=1.0, renormalize="no"),
             lambda: EstimatorConfig(ratio=1.0, cutoff=1.0, renormalize=1),
-            lambda: EstimatorConfig(ratio=1.0, cutoff=1.0, kappa_exponent=2.5),
-            lambda: EstimatorConfig(ratio=1.0, cutoff=1.0, kappa_exponent=True),
             lambda: EstimatorConfig(ratio=1.0, cutoff=1.0, C="0.5"),
-            lambda: theorem_bandwidth(1000.0, 1.0, 1.0),
+            lambda: theorem_cutoff(1000.0, 1.0, 1.0),
             lambda: hill_ratio(np.arange(1.0, 20.0), k=3.0),
             lambda: normalize("2", 1.0, 1.0),
             lambda: SmoothnessConfig(1.0, 1.0, 1.0, None),
@@ -94,8 +92,8 @@ class TestLibraryCases:
         ids=[
             "config-ratio-None", "xgrid-step-None", "threshold-C-None", "config-ratio-True",
             "xgrid-count-2.9", "half_count-3.7", "renormalize-no", "renormalize-1",
-            "kappa_exponent-2.5", "kappa_exponent-True", "C-string", "bandwidth-n-float",
-            "hill-k-float", "normalize-string", "smoothness-None", "stream-index-negative",
+            "C-string", "bandwidth-n-float", "hill-k-float", "normalize-string",
+            "smoothness-None", "stream-index-negative",
         ],
     )
     def test_rejected(self, build):

@@ -22,7 +22,6 @@ from shotdeconv.estimator import (
     hill_ratio,
     invert_density,
     mark_cf_estimate,
-    theorem_bandwidth,
     theorem_cutoff,
     theorem_threshold,
 )
@@ -32,7 +31,6 @@ from shotdeconv.simulate import simulate_series
 BANDWIDTH_1E5_S1_R125 = 0.12328467394420663
 CUTOFF_1E5_S1_R125 = 8.11130830789687
 THRESHOLD_EXP2 = 0.032075014954979206  # 0.5 * 3^-2.5
-THRESHOLD_EXP1 = 0.12663928094193208  # 0.5 * 3^-1.25
 ADAPTIVE_C_012 = 0.18393972058572117  # exp(-1)/2
 
 
@@ -53,8 +51,8 @@ class TestXGrid:
 class TestEstimatorConfig:
     def test_defaults(self):
         cfg = EstimatorConfig(ratio=1.25, cutoff=0.8)
-        assert cfg.s == 1.0 and cfg.kappa is None and cfg.C == "adaptive"
-        assert cfg.kappa_exponent == 2 and cfg.renormalize is False
+        assert cfg.kappa is None and cfg.C == "adaptive"
+        assert cfg.bin_width is None and cfg.x_grid is None and cfg.renormalize is False
 
     def test_kappa_open_interval(self):
         EstimatorConfig(ratio=1.0, cutoff=1.0, kappa=0.5)
@@ -73,14 +71,6 @@ class TestEstimatorConfig:
         with pytest.raises(InvalidParameterError):
             EstimatorConfig(ratio=0.0, cutoff=1.0)
 
-    def test_kappa_exponent(self):
-        with pytest.raises(InvalidParameterError):
-            EstimatorConfig(ratio=1.0, cutoff=1.0, kappa_exponent=3)
-
-    def test_s_bound(self):
-        with pytest.raises(InvalidParameterError):
-            EstimatorConfig(ratio=1.0, cutoff=1.0, s=0.5)
-
     def test_x_grid_type(self):
         with pytest.raises(InvalidParameterError):
             EstimatorConfig(ratio=1.0, cutoff=1.0, x_grid=[0.0, 1.0])
@@ -88,7 +78,7 @@ class TestEstimatorConfig:
 
 class TestTuningFormulas:
     def test_bandwidth_frozen(self):
-        assert theorem_bandwidth(100_000, 1.0, 1.25) == pytest.approx(
+        assert 1.0 / theorem_cutoff(100_000, 1.0, 1.25) == pytest.approx(
             BANDWIDTH_1E5_S1_R125, rel=1e-12
         )
 
@@ -96,35 +86,33 @@ class TestTuningFormulas:
         assert theorem_cutoff(100_000, 1.0, 1.25) == pytest.approx(
             CUTOFF_1E5_S1_R125, rel=1e-12
         )
-        assert theorem_cutoff(100_000, 1.0, 1.25) * theorem_bandwidth(
-            100_000, 1.0, 1.25
-        ) == pytest.approx(1.0, rel=1e-14)
+        # the reciprocal of the bandwidth, exactly as the formula reads
+        for n in (100_000, 1_000_000):
+            assert theorem_cutoff(n, 1.0, 1.25) == 1.0 / n ** (-1.0 / 5.5)
 
     def test_bandwidth_shrinks_with_n(self):
-        hs = [theorem_bandwidth(n, 1.0, 1.25) for n in (1_000, 10_000, 100_000)]
-        assert hs[0] > hs[1] > hs[2]
+        cutoffs = [theorem_cutoff(n, 1.0, 1.25) for n in (1_000, 10_000, 100_000)]
+        assert cutoffs[0] < cutoffs[1] < cutoffs[2]
 
     def test_bandwidth_validation(self):
         with pytest.raises(InvalidParameterError):
-            theorem_bandwidth(2, 1.0, 1.0)
+            theorem_cutoff(2, 1.0, 1.0)
         with pytest.raises(InvalidParameterError):
-            theorem_bandwidth(100.5, 1.0, 1.0)
+            theorem_cutoff(100.5, 1.0, 1.0)
         with pytest.raises(InvalidParameterError):
-            theorem_bandwidth(100, 0.5, 1.0)
+            theorem_cutoff(100, 0.5, 1.0)
         with pytest.raises(InvalidParameterError):
-            theorem_bandwidth(100, 1.0, -0.1)
+            theorem_cutoff(100, 1.0, -0.1)
 
     def test_threshold_frozen(self):
-        assert theorem_threshold(2.0, 0.5, 1.25, 2) == pytest.approx(THRESHOLD_EXP2, rel=1e-12)
-        assert theorem_threshold(2.0, 0.5, 1.25, 1) == pytest.approx(THRESHOLD_EXP1, rel=1e-12)
+        assert theorem_threshold(2.0, 0.5, 1.25) == pytest.approx(THRESHOLD_EXP2, rel=1e-12)
+        assert theorem_threshold(2.0, 0.5, 1.25) == 0.5 * 3.0 ** (-2 * 1.25)
 
     def test_threshold_validation(self):
         with pytest.raises(InvalidParameterError):
             theorem_threshold(-1.0, 0.5, 1.0)
         with pytest.raises(InvalidParameterError):
             theorem_threshold(1.0, 0.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            theorem_threshold(1.0, 0.5, 1.0, exponent=3)
 
     def test_adaptive_c_frozen(self):
         assert adaptive_C(np.array([0.0, 1.0, 2.0])) == pytest.approx(ADAPTIVE_C_012, rel=1e-14)

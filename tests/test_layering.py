@@ -1,7 +1,7 @@
 """Module layering: each package module imports only modules before it.
 
 The order is errors -> serialize -> model -> simulate -> ecf -> estimator
--> bench -> cli. The package ``__init__`` re-exports every layer and is
+-> bench -> cli. The package ``__init__`` re-exports names of several layers and is
 exempt; ``cli`` may import ``__version__`` from it.
 """
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,8 +20,6 @@ from shotdeconv.model import (
     mark_sobolev_norm,
     marks_from_json,
     marks_to_json,
-    model_from_json,
-    model_to_json,
     normalize,
     true_shot_cf,
 )
@@ -293,6 +292,50 @@ class TestTrueShotCf:
         phi_neg = true_shot_cf(ref_params, ref_marks, -1.7)
         assert phi_neg == pytest.approx(np.conj(phi_pos), rel=1e-10)
 
+    # SHA-256 of the complex128 bytes: values at u < 0, filled by
+    # conjugation, equal integrating at u itself bit for bit
+    LAWS = {
+        "mixture": (ModelParams(100.0, 80.0, 1.25),
+                    GaussianMixture((0.3, 0.5, 0.2), (4.0, 12.0, 22.0), (1.0, 1.0, 0.5))),
+        "exponential": (ModelParams(2.0, 1.0, 2.0), Exponential(1.0)),
+        "point_mass": (ModelParams(0.5, 1.0, 0.5), PointMass(3.0)),
+    }
+    GRIDS = {
+        "symmetric": np.linspace(-4.0, 4.0, 161),
+        "asymmetric": np.linspace(-3.0, 7.0, 201),
+        "negative": np.linspace(-5.0, -0.1, 50),
+        # the lower-bound audit's default grid
+        "audit": np.arange(-800, 801) * 0.01,
+    }
+
+    @pytest.mark.parametrize(
+        "law, grid, digest",
+        [
+            ("mixture", "symmetric", "0322f94708ed85233a715af36440f38574bdfc375662e161c1ad3355f8d466ce"),
+            ("mixture", "asymmetric", "7de08ad78cd8929e5cd60fb83ddab4746f70c464422ad69474995a56c6173442"),
+            ("mixture", "negative", "bc964e25b5c117d3c019f37062594582216632bd5ac631f2050ccc9af1d8bfbb"),
+            ("mixture", "audit", "af2a298ff76af3893c1f1c0dddda9b7dac265ce3f57d1743a695444384e5a49a"),
+            ("exponential", "symmetric", "950fa141df916578b6e90f316896307bcd8fa469e893ab449dac155555e600a7"),
+            ("exponential", "asymmetric", "3e8f5ec65258ae904ef224f13a634accf2fb4cc186d834292e957720cb44f5fa"),
+            ("exponential", "negative", "96b7097f2543123dd6a48fb43c079294aae272a15fde6a30de32e725cd9f20ee"),
+            ("exponential", "audit", "363ff1bac5bf2297182d4ce333208beb939ae2248259c3ba76472e565bf66092"),
+            ("point_mass", "symmetric", "03eef7e7706107bf463dbf894e94ca76c678c1a5ff31103a8b884c0dcf830153"),
+            ("point_mass", "asymmetric", "7828350f7ecb66a37d3c0c9c5324976594561192cd14f9fc6daf5f09993854b8"),
+            ("point_mass", "negative", "34eef7a601254709b1906a69cc8550c66274d3ea15e193d0d77aaae8a69a53d9"),
+            ("point_mass", "audit", "ebe63ea1f3687b00e67764b1d0973fb29807c3e0253b919c189e2d2548cf0951"),
+        ],
+    )
+    def test_digest(self, law, grid, digest):
+        params, marks = self.LAWS[law]
+        phi = true_shot_cf(params, marks, self.GRIDS[grid])
+        assert hashlib.sha256(phi.tobytes()).hexdigest() == digest
+
+    def test_negative_u_is_exact_conjugate(self, ref_params, ref_marks):
+        u = np.array([[-2.5, 0.0], [2.5, -0.0]])
+        phi = true_shot_cf(ref_params, ref_marks, u)
+        assert phi.shape == (2, 2)
+        assert phi[0, 0] == np.conj(phi[1, 0]) and phi[0, 1] == phi[1, 1] == 1.0
+
     def test_zero_intensity_gives_constant_one(self):
         params = ModelParams(0.0, 1.0, 0.0)
         phi = true_shot_cf(params, Exponential(1.0), np.array([0.0, 1.0, 3.0]))
@@ -412,21 +455,3 @@ class TestJsonSerde:
     def test_non_dict_rejected(self):
         with pytest.raises(InvalidParameterError):
             marks_from_json(["exponential", 1.0])
-
-    def test_model_round_trip(self, ref_marks):
-        obj = model_to_json(1e9, 8e8, 1e-7, ref_marks)
-        params, marks = model_from_json(obj)
-        assert params.ratio == pytest.approx(1.25, rel=1e-12)
-        assert marks == ref_marks
-
-    def test_model_unknown_key(self, ref_marks):
-        obj = model_to_json(1.0, 1.0, 1.0, ref_marks)
-        obj["extra"] = 1
-        with pytest.raises(InvalidParameterError, match="unknown fields"):
-            model_from_json(obj)
-
-    def test_model_non_numeric_field(self, ref_marks):
-        obj = model_to_json(1.0, 1.0, 1.0, ref_marks)
-        obj["lambda"] = "fast"
-        with pytest.raises(InvalidParameterError):
-            model_from_json(obj)
