@@ -663,24 +663,32 @@ class TestConfigValueTypes:
 
     # Each used to crash with a raw ValueError (exit 1) or to be read as
     # another value: "no" as True, 2.5 as 2, true as 1.0 and 2000.7 as 2000.
+    # kappa_exponent is no longer a setting, so its values are refused as an
+    # unknown key instead.
     @pytest.mark.parametrize(
         ("path", "value", "name"),
         [
             ("estimator.s", "abc", "s"),
             ("estimator.kappa", "abc", "kappa"),
+            ("estimator.kappa_exponent", "abc", "kappa_exponent"),
             ("estimator.bin_width", "abc", "bin_width"),
             ("estimator.cutoff", "abc", "cutoff"),
             ("estimator.x_grid.start", "abc", "start"),
             ("seed", "abc", "seed"),
             ("n", "abc", "n"),
             ("estimator.renormalize", "no", "renormalize"),
+            ("estimator.kappa_exponent", 2.5, "kappa_exponent"),
             ("estimator.cutoff", True, "cutoff"),
             ("n", 2000.7, "n"),
         ],
     )
     def test_former_crash_or_misread_exits_2(self, tmp_path, capsys, path, value, name):
         assert _estimate_with(tmp_path, path, value) == 2
-        assert re.search(rf"\b{name} must be\b", capsys.readouterr().err)
+        err = capsys.readouterr().err
+        if name == "kappa_exponent":
+            assert "unknown fields ['kappa_exponent'] in config.estimator" in err, err
+        else:
+            assert re.search(rf"\b{name} must be\b", err), err
 
     def test_numeric_string_C_is_not_converted(self, tmp_path, capsys):
         assert _estimate_with(tmp_path, "estimator.C", "0.5") == 2
