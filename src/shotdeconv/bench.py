@@ -63,17 +63,9 @@ _TABLE_X_GRID = XGrid(0.0, 30.0 / 2047, 2048)
 
 def table_cutoff(n):
     """Calibrated inversion cutoff for a table run at sample size `n`."""
-    logn = math.log10(_check_number(n, "n", ge=1))
-    (lo_x, lo_y), *rest = _CUTOFF_ANCHORS
-    if logn <= lo_x:
-        return lo_y
-    prev_x, prev_y = lo_x, lo_y
-    for x, y in rest:
-        if logn <= x:
-            t = (logn - prev_x) / (x - prev_x)
-            return prev_y + t * (y - prev_y)
-        prev_x, prev_y = x, y
-    return prev_y
+    xs, ys = zip(*_CUTOFF_ANCHORS)
+    # clamped to the end anchors outside their range
+    return float(np.interp(math.log10(_check_number(n, "n", ge=1)), xs, ys))
 
 
 def table_renormalize(n):

@@ -27,6 +27,7 @@ from .bench import (
     reports_to_csv,
     reports_to_json_obj,
     run_lower_bound_audit,
+    run_rate_check,
     run_table1,
 )
 from .ecf import checked_sample
@@ -42,14 +43,7 @@ from .estimator import (
 )
 from .model import SmoothnessConfig, _check_keys, marks_from_json, marks_to_json, normalize
 from .serialize import dumps_json, format_float, write_text
-from .simulate import (
-    series_to_csv,
-    series_to_f64le,
-    simulate_series,
-    simulate_trace,
-    trace_events_to_csv,
-    trace_path_to_csv,
-)
+from .simulate import series_to_csv, series_to_f64le, simulate_series
 
 _MODEL_KEYS = {"lambda", "alpha", "delta"}
 _ESTIMATOR_KEYS = {
@@ -186,20 +180,6 @@ def _resolve_estimator_config(raw, args, params, n):
     )
 
 
-def _sidecar(raw, seed, n, extra=None):
-    meta = {
-        "library": "shotdeconv",
-        "version": __version__,
-        "model": dict(raw["model"]),
-        "marks": marks_to_json(marks_from_json(raw["marks"])),
-        "seed": seed,
-        "n": n,
-    }
-    if extra:
-        meta.update(extra)
-    return meta
-
-
 def _read_series_file(path):
     if path.endswith(".f64le") or path.endswith(".bin"):
         try:
@@ -238,24 +218,24 @@ def _cmd_simulate(args):
     seed = _resolve_seed(raw, args)
     n = _resolve_n(raw, args)
     out = _resolve_out_dir(raw, args)
-    fmt = args.format or "csv"
-    if fmt not in ("csv", "f64le"):
-        _fail(f"simulate supports --format csv or f64le, got {fmt!r}")
     series = simulate_series(params, marks, n, seed=seed)
-    if fmt == "csv":
-        write_text(os.path.join(out, "series.csv"), series_to_csv(series))
-        data_file = "series.csv"
+    data_file = f"series.{args.format}"
+    if args.format == "csv":
+        write_text(os.path.join(out, data_file), series_to_csv(series))
     else:
-        with open(os.path.join(out, "series.f64le"), "wb") as handle:
+        with open(os.path.join(out, data_file), "wb") as handle:
             handle.write(series_to_f64le(series))
-        data_file = "series.f64le"
-    meta = _sidecar(raw, seed, n, {"burn_in": series.burn_in, "data_file": data_file})
+    meta = {
+        "library": "shotdeconv",
+        "version": __version__,
+        "model": dict(raw["model"]),
+        "marks": marks_to_json(marks),
+        "seed": seed,
+        "n": n,
+        "burn_in": series.burn_in,
+        "data_file": data_file,
+    }
     write_text(os.path.join(out, "series_meta.json"), dumps_json(meta))
-    if args.trace:
-        horizon = n * args.grid_step
-        trace = simulate_trace(params, marks, horizon, args.grid_step, seed=seed)
-        write_text(os.path.join(out, "trace_events.csv"), trace_events_to_csv(trace))
-        write_text(os.path.join(out, "trace_path.csv"), trace_path_to_csv(trace))
     return 0
 
 
@@ -303,8 +283,6 @@ def _cmd_bench(args):
                 "mean_sup_errors": list(means),
             }
         else:
-            from .bench import run_rate_check
-
             report = run_rate_check(
                 params, marks, n_list=(1_000, 10_000, 100_000),
                 runs=args.runs, base_seed=base_seed, jobs=jobs,
@@ -387,10 +365,7 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", help="write a simulated sample series")
     common(p_sim)
-    p_sim.add_argument("--format", choices=["csv", "f64le"], default=None)
-    p_sim.add_argument("--trace", action="store_true", help="also write an event-level trace")
-    p_sim.add_argument("--grid-step", type=float, default=0.01, dest="grid_step",
-                       help="trace grid spacing; trace horizon is n * grid-step")
+    p_sim.add_argument("--format", choices=["csv", "f64le"], default="csv")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="estimate the mark density")

@@ -123,14 +123,10 @@ class EstimatorConfig:
 
 @dataclass(frozen=True, eq=False)
 class DensityEstimate:
-    """Estimated mark density on a regular grid plus the settings used.
-
-    ``config`` is None when `invert_density` was called without one.
-    """
+    """Estimated mark density on a regular grid plus its diagnostics."""
 
     x_grid: np.ndarray
     theta_hat: np.ndarray
-    config: EstimatorConfig | None
     diagnostics: dict
 
     def __post_init__(self):
@@ -236,7 +232,7 @@ def mark_cf_estimate(grid, ratio, kappa):
     return values, diagnostics
 
 
-def invert_density(mark_cf, u_step, cutoff, x_grid, config=None, diagnostics=None):
+def invert_density(mark_cf, u_step, cutoff, x_grid, diagnostics=None):
     """Truncated Fourier inversion of an estimated mark CF, clamped at zero.
 
     Evaluates the Riemann sum of ``(2 pi)^-1 * integral of exp(-i x u) *
@@ -254,8 +250,6 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, config=None, diagnostics=Non
     cutoff : float
         Truncation limit; the grid must span ``[-cutoff, cutoff]``.
     x_grid : XGrid
-    config : EstimatorConfig, optional
-        Recorded on the result as given, None included.
     diagnostics : dict, optional
         Upstream diagnostics to carry through (thresholding statistics);
         the result's diagnostics hold these plus ``imag_residual``.
@@ -307,7 +301,7 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, config=None, diagnostics=Non
     theta = np.maximum(raw.real, 0.0)
     diag = dict(diagnostics or {})
     diag["imag_residual"] = imag_residual
-    estimate = DensityEstimate(x_grid.values, theta, config, diag)
+    estimate = DensityEstimate(x_grid.values, theta, diag)
     if imag_residual >= 1e-6:
         raise NumericalFailure(
             f"imaginary residual {imag_residual:g} of the inversion integral exceeds 1e-6",
@@ -406,12 +400,12 @@ def estimate_density(sample, config):
         kappa = theorem_threshold(config.cutoff, c_val, config.ratio)
     phi_y, diag = mark_cf_estimate(grid, config.ratio, kappa)
     x_grid = config.x_grid if config.x_grid is not None else _default_x_grid(values, hist, config.ratio)
-    estimate = invert_density(phi_y, u_step, config.cutoff, x_grid, config=config, diagnostics=diag)
+    estimate = invert_density(phi_y, u_step, config.cutoff, x_grid, diagnostics=diag)
     if config.renormalize:
         total = float(estimate.theta_hat.sum() * x_grid.step)
         if total > 0:
             theta = estimate.theta_hat / total
-            estimate = DensityEstimate(estimate.x_grid, theta, config, estimate.diagnostics)
+            estimate = DensityEstimate(estimate.x_grid, theta, estimate.diagnostics)
     return estimate
 
 

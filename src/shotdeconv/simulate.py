@@ -15,22 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import InvalidParameterError, _check_count, _check_number
+from .errors import InvalidParameterError, _check_count
 from .model import _BLOCK
 from .serialize import csv_text
 
 __all__ = [
     "SampleSeries",
-    "MarkedEventTrace",
     "sample_innovation",
     "simulate_series",
-    "simulate_trace",
     "default_burn_in",
     "derive_seed",
     "series_to_csv",
     "series_to_f64le",
-    "trace_events_to_csv",
-    "trace_path_to_csv",
 ]
 
 # Pulses older than this (in units of 1/alpha) contribute below exp(-40),
@@ -82,32 +78,6 @@ class SampleSeries:
 
     def __len__(self):
         return self.values.size
-
-
-@dataclass(frozen=True, eq=False)
-class MarkedEventTrace:
-    """Event-level realization over a window plus the path on a regular grid."""
-
-    times: np.ndarray
-    marks: np.ndarray
-    path_grid: np.ndarray
-    path_values: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        marks = np.asarray(self.marks, dtype=float)
-        grid = np.asarray(self.path_grid, dtype=float)
-        path = np.asarray(self.path_values, dtype=float)
-        if times.shape != marks.shape:
-            raise InvalidParameterError("times and marks must have equal length")
-        if times.size and np.any(np.diff(times) <= 0):
-            raise InvalidParameterError("event times must be strictly increasing")
-        if grid.shape != path.shape:
-            raise InvalidParameterError("path_grid and path_values must have equal length")
-        for name, arr in (("times", times), ("marks", marks), ("path_grid", grid), ("path_values", path)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def default_burn_in(params):
@@ -248,59 +218,6 @@ def simulate_series(params, marks, n, burn_in=None, seed=0):
     return SampleSeries(path[burn_in:], params, marks, seed, burn_in)
 
 
-def simulate_trace(params, marks, horizon, grid_step, seed=0):
-    """Simulate one event-level window of the shot noise.
-
-    Draws the stationary initial level by running the sampled recursion for
-    the default burn-in, then lays down Poisson events on ``[0, horizon]``
-    with i.i.d. marks and evaluates the path on the regular grid, each pulse
-    decaying exponentially from its arrival.
-
-    Parameters
-    ----------
-    params : ModelParams
-    marks : MarkDistribution
-    horizon : float
-        Window length, > 0, in sampling-interval units.
-    grid_step : float
-        Spacing of the evaluation grid, > 0.
-    seed : int
-
-    Returns
-    -------
-    MarkedEventTrace
-    """
-    horizon = _check_number(horizon, "horizon", gt=0)
-    grid_step = _check_number(grid_step, "grid_step", gt=0)
-    seed = _check_seed(seed)
-    rng = np.random.default_rng(seed)
-
-    burn = default_burn_in(params)
-    innov = _innovations(params, marks, burn, rng)
-    decay = math.exp(-params.alpha_norm)
-    initial = float(lfilter([1.0], [1.0, -decay], innov)[-1]) if burn else 0.0
-
-    count = int(rng.poisson(params.lambda_norm * horizon))
-    times = np.sort(rng.random(count) * horizon)
-    amplitudes = marks.sample(rng, count)
-
-    grid = np.arange(math.floor(horizon / grid_step) + 1, dtype=float) * grid_step
-    # per-step recursion: decay the running level, add pulses landing in the
-    # step already decayed to the step's right edge
-    step_decay = math.exp(-params.alpha_norm * grid_step)
-    owner = np.ceil(times / grid_step).astype(np.int64)
-    arrivals = np.zeros(grid.size)
-    covered = owner < grid.size  # events after the last grid point never enter the path
-    if np.any(covered):
-        t_cov = times[covered]
-        own_cov = owner[covered]
-        contrib = amplitudes[covered] * np.exp(-params.alpha_norm * (grid[own_cov] - t_cov))
-        arrivals = np.bincount(own_cov, weights=contrib, minlength=grid.size)
-    path = lfilter([1.0], [1.0, -step_decay], arrivals)
-    path += initial * np.exp(-params.alpha_norm * grid)
-    return MarkedEventTrace(times, amplitudes, grid, path)
-
-
 def series_to_csv(series):
     """CSV text for a series: header ``index,value``, 1-based indices."""
     return csv_text("index,value", np.arange(1, series.values.size + 1), series.values)
@@ -309,13 +226,3 @@ def series_to_csv(series):
 def series_to_f64le(series):
     """Raw little-endian float64 bytes of the series values."""
     return series.values.astype("<f8").tobytes()
-
-
-def trace_events_to_csv(trace):
-    """CSV text for trace events: header ``time,mark``."""
-    return csv_text("time,mark", trace.times, trace.marks)
-
-
-def trace_path_to_csv(trace):
-    """CSV text for the trace path: header ``t,x``."""
-    return csv_text("t,x", trace.path_grid, trace.path_values)

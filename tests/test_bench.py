@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from shotdeconv.bench import (
+    _CUTOFF_ANCHORS,
     McReport,
     loglog_slope,
     per_run_errors_to_csv,
@@ -18,13 +19,12 @@ from shotdeconv.bench import (
     table_renormalize,
 )
 from shotdeconv.errors import InvalidParameterError
-from shotdeconv.estimator import DensityEstimate, EstimatorConfig
+from shotdeconv.estimator import DensityEstimate
 from shotdeconv.model import Exponential, SmoothnessConfig
 
 
 def _mk_estimate(x, theta):
-    cfg = EstimatorConfig(ratio=1.0, cutoff=1.0)
-    return DensityEstimate(np.asarray(x, float), np.asarray(theta, float), cfg, {})
+    return DensityEstimate(np.asarray(x, float), np.asarray(theta, float), {})
 
 
 class TestTableCutoff:
@@ -44,6 +44,26 @@ class TestTableCutoff:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             table_cutoff(0)
+
+    def test_matches_clamped_piecewise_linear_loop(self):
+        # the clamped piecewise-linear rule as a loop; np.interp must match it bit for bit
+        def reference(n):
+            logn = math.log10(n)
+            (lo_x, lo_y), *rest = _CUTOFF_ANCHORS
+            if logn <= lo_x:
+                return lo_y
+            prev_x, prev_y = lo_x, lo_y
+            for x, y in rest:
+                if logn <= x:
+                    t = (logn - prev_x) / (x - prev_x)
+                    return prev_y + t * (y - prev_y)
+                prev_x, prev_y = x, y
+            return prev_y
+
+        rng = np.random.default_rng(11)
+        sizes = [1, 300, 400, 10**4, 10**5, 10**6, 10**8]
+        sizes += rng.integers(1, 10**8, 2000).tolist() + (10 ** rng.uniform(3, 7, 2000)).tolist()
+        assert [table_cutoff(n) for n in sizes] == [reference(n) for n in sizes]
 
 
 class TestTableRenormalize:

@@ -175,16 +175,14 @@ class TestSimulate:
         values = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1, usecols=1)
         assert np.all(values == 0.0)
 
-    def test_trace_writes_event_and_path_files(self, tmp_path):
+    @pytest.mark.parametrize("flag", ["--trace", "--grid-step"])
+    def test_trace_flags_are_unrecognized(self, tmp_path, capsys, flag):
         config = _gamma_config(tmp_path, n=50)
-        out = tmp_path / "o"
-        assert cli.main(["simulate", "--config", str(config), "--out", str(out),
-                         "--trace", "--grid-step", "0.02"]) == 0
-        events = (out / "trace_events.csv").read_text()
-        path = (out / "trace_path.csv").read_text()
-        assert events.startswith("time,mark\n")
-        assert path.startswith("t,x\n")
-        assert len(path.splitlines()) == 52  # header + inclusive grid 0..horizon
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "o"), flag]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + (["0.02"] if flag == "--grid-step" else []))
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_output_dir_from_config(self, tmp_path):
         target = tmp_path / "cfg_out"
@@ -316,6 +314,64 @@ class TestEstimate:
         code = cli.main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestSimulateOutputPinning:
+    """Digests of the `shotdeconv simulate` data file and sidecar in both formats.
+
+    One config is the Exponential(1)-mark model of `_gamma_config` at its
+    n = 2000 and seed 7, the other the reference mixture at n = 3000 and
+    seed 2024. Recorded with numpy 2.4 and scipy 1.17 on x86-64 with
+    AVX-512, package version 0.1.0 (the sidecar names the version). Any
+    change to the random stream, the recursion or the writers changes these
+    bytes.
+    """
+
+    REFERENCE = {
+        "model": {"lambda": 100.0, "alpha": 80.0, "delta": 1.0},
+        "marks": {"type": "gaussian_mixture", "weights": [0.3, 0.5, 0.2],
+                  "means": [4.0, 12.0, 22.0], "sds": [1.0, 1.0, 0.5]},
+    }
+
+    @pytest.mark.parametrize(
+        "name, fmt, data_digest, meta_digest",
+        [
+            (
+                "gamma", "csv",
+                "8058f8285c91e10b87e2fa461d948122a948f0275b17a6f8deb5cf3e4e2774f7",
+                "5e4d19d4056d33639a7de71b0a5e447a0ff9faed79343b177dfc04f03daa96c1",
+            ),
+            (
+                "gamma", "f64le",
+                "101a250be987fcf39385b7afacfb6358b64fc690443962ddb7760f168e93e50d",
+                "541e10117ef16e68cd3f8f7e9a53b0ccd322e91a95b420ce1be41b1b677745bb",
+            ),
+            (
+                "reference", "csv",
+                "a5740a6361b6f64da80c4348f5bcb3453f898f8ae7122dc7c0cb92db451717dc",
+                "6237c2115a617e969916fa1f2a3551c2f36bca3b264941456b88480fab04a758",
+            ),
+            (
+                "reference", "f64le",
+                "9ba29dc279950eab3c05a37ae25cbc9c978827adeabcdfa1c1941ceb434455e9",
+                "915c7b26be3f82e388904eef796bdc9d25fa469b378daf22508eb835c0967f49",
+            ),
+        ],
+        ids=["gamma-csv", "gamma-f64le", "reference-csv", "reference-f64le"],
+    )
+    def test_digests(self, tmp_path, name, fmt, data_digest, meta_digest):
+        if name == "gamma":
+            config, flags = _gamma_config(tmp_path), []
+        else:
+            config = tmp_path / "reference.json"
+            config.write_text(json.dumps(self.REFERENCE), encoding="utf-8")
+            flags = ["--n", "3000", "--seed", "2024"]
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out),
+                         "--format", fmt, *flags]) == 0
+        digests = [hashlib.sha256((out / file).read_bytes()).hexdigest()
+                   for file in (f"series.{fmt}", "series_meta.json")]
+        assert digests == [data_digest, meta_digest]
 
 
 class TestEstimateOutputPinning:

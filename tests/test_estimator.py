@@ -217,7 +217,6 @@ class TestInvertDensity:
         step = 2.0 / 128
         phi = np.exp(-0.5 * (np.arange(-128, 129) * step) ** 2)
         est = invert_density(phi, step, 2.0, XGrid(-2.0, 0.05, 81))
-        assert est.config is None
         assert set(est.diagnostics) == {"imag_residual"}
 
     def test_validation(self):
@@ -269,7 +268,6 @@ class TestEstimateDensity:
         # cutoff 2 leaves an unavoidable Gibbs overshoot
         away = est.x_grid >= 1.0
         assert np.max(np.abs(est.theta_hat - truth)[away]) < 0.35
-        assert est.config is cfg
         assert set(est.diagnostics) >= {"fraction_thresholded", "min_abs_ecf", "imag_residual"}
 
     def test_renormalize_unit_mass(self, gamma_params, gamma_marks):
@@ -486,18 +484,15 @@ class TestHillRatio:
 
 class TestDensityCsv:
     def test_golden(self):
-        cfg = EstimatorConfig(ratio=1.0, cutoff=1.0)
-        est = DensityEstimate(np.array([0.0, 1.0]), np.array([0.5, 0.25]), cfg, {})
+        est = DensityEstimate(np.array([0.0, 1.0]), np.array([0.5, 0.25]), {})
         assert density_to_csv(est) == "x,theta_hat\n0,0.5\n1,0.25\n"
 
 
 class TestDensityEstimateType:
     def test_rejects_negative(self):
-        cfg = EstimatorConfig(ratio=1.0, cutoff=1.0)
         with pytest.raises(InvalidParameterError):
-            DensityEstimate(np.array([0.0, 1.0]), np.array([0.5, -0.1]), cfg, {})
+            DensityEstimate(np.array([0.0, 1.0]), np.array([0.5, -0.1]), {})
 
     def test_rejects_shape_mismatch(self):
-        cfg = EstimatorConfig(ratio=1.0, cutoff=1.0)
         with pytest.raises(InvalidParameterError):
-            DensityEstimate(np.array([0.0, 1.0]), np.array([0.5]), cfg, {})
+            DensityEstimate(np.array([0.0, 1.0]), np.array([0.5]), {})

@@ -6,6 +6,7 @@ exempt; ``cli`` may import ``__version__`` from it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,11 @@ def test_imports_point_backwards_only(module):
         if ORDER.index(name) >= rank
     ]
     assert not late, late
+
+
+@pytest.mark.parametrize("module", ["shotdeconv"] + [f"shotdeconv.{name}" for name in ORDER])
+def test_every_export_exists(module):
+    # a module without __all__ exports nothing to check
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, missing

@@ -7,7 +7,6 @@ import pytest
 from shotdeconv.errors import InvalidParameterError
 from shotdeconv.model import Exponential, GaussianMixture, ModelParams, PointMass
 from shotdeconv.simulate import (
-    MarkedEventTrace,
     SampleSeries,
     default_burn_in,
     derive_seed,
@@ -15,9 +14,6 @@ from shotdeconv.simulate import (
     series_to_csv,
     series_to_f64le,
     simulate_series,
-    simulate_trace,
-    trace_events_to_csv,
-    trace_path_to_csv,
 )
 
 # Stationary moments of the reference configuration, exact closed forms:
@@ -289,66 +285,6 @@ class TestBlockBoundaryPinning:
         assert _sha256(marks.sample(np.random.default_rng(seed), 200_001)) == digest
 
 
-class TestSimulateTrace:
-    def test_path_matches_brute_force_superposition(self):
-        params = ModelParams(5.0, 1.0, 5.0)
-        marks = Exponential(2.0)
-        trace = simulate_trace(params, marks, horizon=3.0, grid_step=0.25, seed=17)
-        initial = trace.path_values[0]
-        for i, t in enumerate(trace.path_grid):
-            keep = trace.times <= t
-            expected = initial * math.exp(-t) + float(
-                np.sum(trace.marks[keep] * np.exp(-(t - trace.times[keep])))
-            )
-            assert trace.path_values[i] == pytest.approx(expected, abs=1e-10)
-
-    def test_events_beyond_grid_do_not_enter_path(self):
-        # horizon 1.0 with step 0.3 leaves the grid ending at 0.9; events in
-        # (0.9, 1.0] stay in the event list but must not touch the path
-        params = ModelParams(50.0, 1.0, 50.0)
-        marks = Exponential(1.0)
-        trace = simulate_trace(params, marks, horizon=1.0, grid_step=0.3, seed=23)
-        assert trace.path_grid[-1] == pytest.approx(0.9)
-        assert trace.times.max() > 0.9  # seed chosen so late events exist
-        initial = trace.path_values[0]
-        t = trace.path_grid[-1]
-        keep = trace.times <= t
-        expected = initial * math.exp(-t) + float(
-            np.sum(trace.marks[keep] * np.exp(-(t - trace.times[keep])))
-        )
-        assert trace.path_values[-1] == pytest.approx(expected, abs=1e-12)
-
-    def test_zero_intensity_trace(self):
-        params = ModelParams(0.0, 2.0, 0.0)
-        trace = simulate_trace(params, Exponential(1.0), horizon=2.0, grid_step=0.5, seed=0)
-        assert trace.times.size == 0
-        assert np.all(trace.path_values == trace.path_values[0] * np.exp(-2.0 * trace.path_grid))
-
-    def test_determinism(self, ref_params, ref_marks):
-        a = simulate_trace(ref_params, ref_marks, 2.0, 0.01, seed=3)
-        b = simulate_trace(ref_params, ref_marks, 2.0, 0.01, seed=3)
-        assert np.array_equal(a.path_values, b.path_values)
-        assert np.array_equal(a.times, b.times)
-
-    def test_invalid_horizon(self, ref_params, ref_marks):
-        with pytest.raises(InvalidParameterError):
-            simulate_trace(ref_params, ref_marks, 0.0, 0.1)
-
-    def test_invalid_grid_step(self, ref_params, ref_marks):
-        with pytest.raises(InvalidParameterError):
-            simulate_trace(ref_params, ref_marks, 1.0, -0.1)
-
-    def test_trace_validation(self):
-        with pytest.raises(InvalidParameterError, match="increasing"):
-            MarkedEventTrace(
-                np.array([1.0, 1.0]), np.array([1.0, 2.0]), np.array([0.0]), np.array([0.0])
-            )
-        with pytest.raises(InvalidParameterError, match="equal length"):
-            MarkedEventTrace(
-                np.array([1.0]), np.array([1.0, 2.0]), np.array([0.0]), np.array([0.0])
-            )
-
-
 class TestWriters:
     def test_series_csv(self, ref_params, ref_marks):
         series = SampleSeries(np.array([1.5, 2.25]), ref_params, ref_marks, 0, 0)
@@ -360,10 +296,3 @@ class TestWriters:
         raw = series_to_f64le(series)
         assert len(raw) == 24
         assert np.array_equal(np.frombuffer(raw, dtype="<f8"), values)
-
-    def test_trace_csv_headers(self):
-        trace = MarkedEventTrace(
-            np.array([0.5]), np.array([2.0]), np.array([0.0, 1.0]), np.array([0.25, 0.125])
-        )
-        assert trace_events_to_csv(trace) == "time,mark\n0.5,2\n"
-        assert trace_path_to_csv(trace) == "t,x\n0,0.25\n1,0.125\n"
