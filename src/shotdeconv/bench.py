@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ecf import build_histogram, ecf_from_histogram
+from .ecf import _symmetric_grid, build_histogram, ecf_from_histogram
 from .errors import InvalidParameterError, _check_count, _check_number
 from .estimator import (
     EstimatorConfig,
@@ -308,11 +308,7 @@ def run_lower_bound_audit(params, marks, smoothness, n=100_000, seed=20_240,
         raise InvalidParameterError(
             f"marks fail the smoothness-class check: {admissibility}"
         )
-    grid_count = _check_count(grid_count, "grid_count", minimum=3)
-    if grid_count % 2 == 0:
-        raise InvalidParameterError(f"grid_count must be odd, got {grid_count}")
-    half = (grid_count - 1) // 2
-    u_step = _check_number(u_max, "u_max", gt=0) / half
+    half, u_step = _symmetric_grid(u_max, grid_count)
     u = np.arange(-half, half + 1) * u_step
     phi = true_shot_cf(params, marks, u)
     bound = cf_lower_bound(smoothness, params, u)

@@ -30,8 +30,7 @@ from .bench import (
     run_rate_check,
     run_table1,
 )
-from .ecf import checked_sample
-from .errors import InvalidParameterError, NumericalFailure, ResourceLimitError, _check_number
+from .errors import InvalidParameterError, NumericalFailure, ResourceLimitError, checked_sample
 from .estimator import (
     EstimatorConfig,
     XGrid,
@@ -39,23 +38,14 @@ from .estimator import (
     density_to_csv,
     estimate_density,
     hill_ratio,
-    theorem_cutoff,
 )
 from .model import SmoothnessConfig, _check_keys, marks_from_json, marks_to_json, normalize
 from .serialize import dumps_json, format_float, write_text
 from .simulate import series_to_csv, series_to_f64le, simulate_series
 
 _MODEL_KEYS = {"lambda", "alpha", "delta"}
-_ESTIMATOR_KEYS = {
-    "cutoff",
-    "s",
-    "use_theorem_bandwidth",
-    "C",
-    "kappa",
-    "bin_width",
-    "x_grid",
-    "renormalize",
-}
+_ESTIMATOR_KEYS = {"cutoff", "bin_width", "x_grid", "renormalize"}
+_X_GRID_KEYS = {"start", "step", "count"}
 _SMOOTHNESS_KEYS = {"s", "K", "L", "m"}
 _OUTPUT_KEYS = {"dir"}
 _TOP_KEYS = {"model", "marks", "estimator", "smoothness", "seed", "n", "output"}
@@ -77,13 +67,8 @@ def _load_config(path):
         _fail(f"could not read config file {path}: {exc}")
     except ValueError as exc:
         _fail(f"config file {path} is not valid JSON: {exc}")
-    _check_keys(raw, _TOP_KEYS, "config")
-    if "model" not in raw or "marks" not in raw:
-        _fail("config must contain 'model' and 'marks'")
-    _check_keys(raw["model"], _MODEL_KEYS, "config.model")
-    for key in _MODEL_KEYS:
-        if key not in raw["model"]:
-            _fail(f"config.model is missing {key!r}")
+    _check_keys(raw, _TOP_KEYS, "config", required=("model", "marks"))
+    _check_keys(raw["model"], _MODEL_KEYS, "config.model", required=_MODEL_KEYS)
     if "estimator" in raw:
         _check_keys(raw["estimator"], _ESTIMATOR_KEYS, "config.estimator")
     if "smoothness" in raw:
@@ -129,51 +114,19 @@ def _resolve_x_grid(section):
     grid = section.get("x_grid")
     if grid is None:
         return None
-    _check_keys(grid, {"start", "step", "count"}, "config.estimator.x_grid")
-    for key in ("start", "step", "count"):
-        if key not in grid:
-            _fail(f"config.estimator.x_grid is missing {key!r}")
+    _check_keys(grid, _X_GRID_KEYS, "config.estimator.x_grid", required=_X_GRID_KEYS)
     return XGrid(grid["start"], grid["step"], grid["count"])
 
 
-def _resolve_estimator_config(raw, args, params, n):
-    section = dict(raw.get("estimator", {}))
-    # s feeds only the theorem bandwidth, but is checked whenever it is given
-    s = _check_number(section.get("s", 1.0), "s", gt=0.5)
-    use_theorem_bandwidth = section.get("use_theorem_bandwidth", False)
-    if not isinstance(use_theorem_bandwidth, bool):
-        _fail(f"use_theorem_bandwidth must be true or false, got {use_theorem_bandwidth!r}")
-    cutoff = getattr(args, "cutoff", None)
+def _resolve_estimator_config(raw, args, params):
+    section = raw.get("estimator", {})
+    cutoff = args.cutoff if args.cutoff is not None else section.get("cutoff")
     if cutoff is None:
-        cutoff = section.get("cutoff")
-    if cutoff is None:
-        if use_theorem_bandwidth:
-            cutoff = theorem_cutoff(n, s, params.ratio)
-        else:
-            _fail(
-                "estimator cutoff unspecified: pass --cutoff, set estimator.cutoff, "
-                "or set estimator.use_theorem_bandwidth"
-            )
-    c_value = getattr(args, "C", None)
-    if c_value is None:
-        c_value = section.get("C", "adaptive")
-    elif c_value != "adaptive":
-        # --C arrives as text: the one setting whose flag is parsed here
-        try:
-            c_value = float(c_value)
-        except ValueError:
-            _fail(f"--C must be a number or 'adaptive', got {c_value!r}")
-    kappa = getattr(args, "kappa", None)
-    if kappa is None:
-        kappa = section.get("kappa")
-    bin_width = getattr(args, "bin_width", None)
-    if bin_width is None:
-        bin_width = section.get("bin_width")
+        _fail("estimator cutoff unspecified: pass --cutoff or set estimator.cutoff")
+    bin_width = args.bin_width if args.bin_width is not None else section.get("bin_width")
     return EstimatorConfig(
         ratio=params.ratio,
         cutoff=cutoff,
-        kappa=kappa,
-        C=c_value,
         bin_width=bin_width,
         x_grid=_resolve_x_grid(section),
         renormalize=section.get("renormalize", False),
@@ -246,11 +199,10 @@ def _cmd_estimate(args):
     out = _resolve_out_dir(raw, args)
     if args.infile is not None:
         values = _read_series_file(args.infile)
-        n = values.size
     else:
         n = _resolve_n(raw, args)
         values = simulate_series(params, marks, n, seed=seed).values
-    config = _resolve_estimator_config(raw, args, params, n)
+    config = _resolve_estimator_config(raw, args, params)
     estimate = estimate_density(values, config)
     write_text(os.path.join(out, "estimate.csv"), density_to_csv(estimate))
     diagnostics = dict(estimate.diagnostics)
@@ -294,9 +246,7 @@ def _cmd_bench(args):
         if "smoothness" not in raw:
             _fail("--audit needs a 'smoothness' section in the config")
         sm = raw["smoothness"]
-        for key in _SMOOTHNESS_KEYS:
-            if key not in sm:
-                _fail(f"config.smoothness is missing {key!r}")
+        _check_keys(sm, _SMOOTHNESS_KEYS, "config.smoothness", required=_SMOOTHNESS_KEYS)
         smoothness = SmoothnessConfig(sm["s"], sm["K"], sm["L"], sm["m"])
         report = run_lower_bound_audit(params, marks, smoothness, seed=base_seed)
         write_text(os.path.join(out, "audit.json"), dumps_json(report))
@@ -373,8 +323,6 @@ def build_parser():
     p_est.add_argument("--in", dest="infile", default=None,
                        help="series file (csv or f64le) instead of simulating")
     p_est.add_argument("--cutoff", type=float, default=None)
-    p_est.add_argument("--kappa", type=float, default=None)
-    p_est.add_argument("--C", dest="C", default=None, help="threshold constant or 'adaptive'")
     p_est.add_argument("--bin-width", type=float, default=None, dest="bin_width")
     p_est.set_defaults(func=_cmd_estimate)
 

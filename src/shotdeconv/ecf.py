@@ -21,7 +21,13 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.signal import CZT
 
-from .errors import InvalidParameterError, ResourceLimitError, _check_count, _check_number
+from .errors import (
+    InvalidParameterError,
+    ResourceLimitError,
+    _check_count,
+    _check_number,
+    checked_sample,
+)
 from .model import _BLOCK, true_shot_cf
 from .simulate import derive_seed, simulate_series
 
@@ -46,33 +52,6 @@ _EXACT_INDEX = 2**52
 # samples per block of the ECF power sums in `_ecf_sup_gap`; the two power
 # tables of one block (about 20 rows of complex values) stay in L2
 _SUM_BLOCK = 4096
-
-
-def checked_sample(sample):
-    """The sample check at the library boundary: nonempty, 1-d and finite.
-
-    Finiteness is read from the extremes, which callers need anyway: NaN
-    propagates into both and an infinity is one of them, so the check costs
-    no pass over the sample beyond its minimum and maximum.
-
-    Returns
-    -------
-    (ndarray, float, float)
-        The values as float64, their minimum and their maximum.
-
-    Raises
-    ------
-    InvalidParameterError
-        If the sample is not a nonempty 1-d array of finite values.
-    """
-    values = np.asarray(getattr(sample, "values", sample), dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise InvalidParameterError("sample must be a nonempty 1-d array of values")
-    lo = float(values.min())
-    hi = float(values.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidParameterError("sample must hold only finite values (no NaN or infinity)")
-    return values, lo, hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,6 +371,19 @@ def _ecf_sup_gap(values, phi_true_half, u_step, half_count):
     return float(np.abs(ecf - phi_true_half).max())
 
 
+def _symmetric_grid(u_max, grid_count):
+    """``(half, u_step)`` of `grid_count` points spaced evenly over ``[-u_max, u_max]``.
+
+    The count must be odd, so that u = 0 is a grid point.
+    """
+    u_max = _check_number(u_max, "u_max", gt=0)
+    grid_count = _check_count(grid_count, "grid_count", minimum=3)
+    if grid_count % 2 == 0:
+        raise InvalidParameterError(f"grid_count must be odd, got {grid_count}")
+    half = (grid_count - 1) // 2
+    return half, u_max / half
+
+
 def ecf_deviation(params, marks, n_list, runs, base_seed, u_max=8.0, grid_count=161):
     """Monte-Carlo table of sup-norm ECF deviations from the true CF.
 
@@ -426,12 +418,7 @@ def ecf_deviation(params, marks, n_list, runs, base_seed, u_max=8.0, grid_count=
         One entry per n: ``{"n", "mean_sup", "se"}``.
     """
     runs = _check_count(runs, "runs", minimum=2)
-    u_max = _check_number(u_max, "u_max", gt=0)
-    grid_count = _check_count(grid_count, "grid_count", minimum=3)
-    if grid_count % 2 == 0:
-        raise InvalidParameterError(f"grid_count must be odd, got {grid_count}")
-    half = (grid_count - 1) // 2
-    u_step = u_max / half
+    half, u_step = _symmetric_grid(u_max, grid_count)
     u_half = np.arange(half + 1) * u_step
     phi_true_half = np.asarray(true_shot_cf(params, marks, u_half))
     out = []

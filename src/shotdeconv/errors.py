@@ -3,7 +3,9 @@
 Every module checks its scalar settings with the two private helpers here:
 `_check_number` for a finite real number within its bound and `_check_count`
 for an integer count. Neither converts a string, a bool or None: a wrongly
-typed value fails with the same message wherever it enters.
+typed value fails with the same message wherever it enters. Every library
+entry point that takes a sample, `SampleSeries` included, checks it with
+`checked_sample`.
 """
 
 import math
@@ -61,3 +63,30 @@ def _check_count(value, name, minimum=1, maximum=None):
             return value
     text = f" >= {minimum}" if maximum is None else f" in [{minimum}, {maximum}]"
     raise InvalidParameterError(f"{name} must be an integer{text}, got {value!r}")
+
+
+def checked_sample(sample):
+    """The sample check at the library boundary: nonempty, 1-d and finite.
+
+    Finiteness is read from the extremes, which callers need anyway: NaN
+    propagates into both and an infinity is one of them, so the check costs
+    no pass over the sample beyond its minimum and maximum.
+
+    Returns
+    -------
+    (ndarray, float, float)
+        The values as float64, their minimum and their maximum.
+
+    Raises
+    ------
+    InvalidParameterError
+        If the sample is not a nonempty 1-d array of finite values.
+    """
+    values = np.asarray(getattr(sample, "values", sample), dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise InvalidParameterError("sample must be a nonempty 1-d array of values")
+    lo = float(values.min())
+    hi = float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidParameterError("sample must hold only finite values (no NaN or infinity)")
+    return values, lo, hi

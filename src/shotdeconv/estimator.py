@@ -16,20 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import czt
 
-from .ecf import (
-    _FFT_CAP,
-    EcfGrid,
-    _czt_fft_len,
-    build_histogram,
-    checked_sample,
-    ecf_from_histogram,
-)
+from .ecf import _FFT_CAP, EcfGrid, _czt_fft_len, build_histogram, ecf_from_histogram
 from .errors import (
     InvalidParameterError,
     NumericalFailure,
     ResourceLimitError,
     _check_count,
     _check_number,
+    checked_sample,
 )
 from .serialize import csv_text
 
@@ -74,6 +68,11 @@ class XGrid:
 class EstimatorConfig:
     """Settings of the density estimator.
 
+    The threshold is not a setting: the CF ratio is divided only where the
+    ECF modulus exceeds ``kappa = C * (1 + cutoff) ** (-2 * ratio)``
+    (`theorem_threshold`), with the adaptive constant
+    ``C = exp(-sample mean) / 2`` (`adaptive_C`).
+
     Parameters
     ----------
     ratio : float
@@ -81,11 +80,6 @@ class EstimatorConfig:
         via `hill_ratio`). Strictly positive.
     cutoff : float
         Truncation limit of the inversion integral (reciprocal bandwidth).
-    kappa : float or None, optional
-        Explicit threshold in (0, 1); when None it is derived from
-        `theorem_threshold` with constant `C`.
-    C : float or "adaptive", optional
-        Threshold constant; "adaptive" uses ``exp(-sample mean)/2``.
     bin_width : float or None, optional
         Histogram bin width; None picks about 4096 bins over the sample
         range.
@@ -98,8 +92,6 @@ class EstimatorConfig:
 
     ratio: float
     cutoff: float
-    kappa: float | None = None
-    C: object = "adaptive"
     bin_width: float | None = None
     x_grid: XGrid | None = None
     renormalize: bool = False
@@ -107,10 +99,6 @@ class EstimatorConfig:
     def __post_init__(self):
         object.__setattr__(self, "ratio", _check_number(self.ratio, "ratio", gt=0))
         object.__setattr__(self, "cutoff", _check_number(self.cutoff, "cutoff", gt=0))
-        if self.kappa is not None:
-            object.__setattr__(self, "kappa", _check_number(self.kappa, "kappa", gt=0, lt=1))
-        if not (isinstance(self.C, str) and self.C == "adaptive"):
-            object.__setattr__(self, "C", _check_number(self.C, "C (or 'adaptive')", gt=0))
         if self.bin_width is not None:
             object.__setattr__(self, "bin_width", _check_number(self.bin_width, "bin_width", gt=0))
         if self.x_grid is not None and not isinstance(self.x_grid, XGrid):
@@ -393,11 +381,7 @@ def estimate_density(sample, config):
         )
     u_step = config.cutoff / _INVERSION_POINTS
     grid = ecf_from_histogram(hist, u_step, _INVERSION_POINTS)
-    if config.kappa is not None:
-        kappa = config.kappa
-    else:
-        c_val = _adaptive_C(values) if config.C == "adaptive" else config.C
-        kappa = theorem_threshold(config.cutoff, c_val, config.ratio)
+    kappa = theorem_threshold(config.cutoff, _adaptive_C(values), config.ratio)
     phi_y, diag = mark_cf_estimate(grid, config.ratio, kappa)
     x_grid = config.x_grid if config.x_grid is not None else _default_x_grid(values, hist, config.ratio)
     estimate = invert_density(phi_y, u_step, config.cutoff, x_grid, diagnostics=diag)

@@ -439,19 +439,20 @@ def check_smoothness(marks, config):
     }
 
 
-def _check_keys(obj, allowed, where):
-    """Reject `obj` unless it is a dict whose keys all lie in `allowed`."""
+def _check_keys(obj, allowed, where, required=()):
+    """Reject `obj` unless it is a dict whose keys lie in `allowed` and include `required`.
+
+    Unknown and missing keys are each named in sorted order, so the message
+    never depends on the iteration order of a set.
+    """
     if not isinstance(obj, dict):
         raise InvalidParameterError(f"{where} must be a JSON object, got {type(obj).__name__}")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise InvalidParameterError(f"unknown fields {unknown} in {where}")
-
-
-def _get_number(obj, key, where):
-    if key not in obj:
-        raise InvalidParameterError(f"missing field {key!r} in {where}")
-    return _check_number(obj[key], f"{where}.{key}")
+    missing = sorted(set(required) - set(obj))
+    if missing:
+        raise InvalidParameterError(f"missing fields {missing} in {where}")
 
 
 def marks_to_json(marks):
@@ -482,9 +483,9 @@ def marks_from_json(obj):
                 raise InvalidParameterError(f"marks.{key} must be an array")
         return GaussianMixture(tuple(obj["weights"]), tuple(obj["means"]), tuple(obj["sds"]))
     if kind == "exponential":
-        _check_keys(obj, {"type", "rate"}, "marks")
-        return Exponential(_get_number(obj, "rate", "marks"))
+        _check_keys(obj, {"type", "rate"}, "marks", required=("rate",))
+        return Exponential(_check_number(obj["rate"], "marks.rate"))
     if kind == "point_mass":
-        _check_keys(obj, {"type", "value"}, "marks")
-        return PointMass(_get_number(obj, "value", "marks"))
+        _check_keys(obj, {"type", "value"}, "marks", required=("value",))
+        return PointMass(_check_number(obj["value"], "marks.value"))
     raise InvalidParameterError(f"unknown marks type {kind!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import InvalidParameterError, _check_count
+from .errors import _check_count, checked_sample
 from .model import _BLOCK
 from .serialize import csv_text
 
@@ -65,11 +65,7 @@ class SampleSeries:
     burn_in: int
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise InvalidParameterError("values must be a nonempty 1-d array")
-        if not np.all(np.isfinite(values)):
-            raise InvalidParameterError("values must all be finite")
+        values, _, _ = checked_sample(self.values)
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)

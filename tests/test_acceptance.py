@@ -57,8 +57,7 @@ TABLE_HALF_WIDTH = 0.035
 # production path; criterion 10 reruns this exact configuration.
 MODE_SEED = 90
 MODE_CONFIG = EstimatorConfig(
-    ratio=1.25, cutoff=0.95, kappa=None, C="adaptive",
-    bin_width=None, x_grid=TABLE_GRID, renormalize=False,
+    ratio=1.25, cutoff=0.95, bin_width=None, x_grid=TABLE_GRID, renormalize=False,
 )
 
 

@@ -1,11 +1,14 @@
 """End-to-end tests for the command-line interface.
 
-Most tests drive `cli.main` in-process for speed; two subprocess tests make
-sure the `python -m shotdeconv.cli` entry point works as installed.
+Most tests drive `cli.main` in-process for speed; subprocess tests make sure
+the `python -m shotdeconv.cli` entry point works as installed, and that an
+error message does not depend on the interpreter's hash seed.
 """
 
+import dataclasses
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from shotdeconv import cli
 from shotdeconv.errors import NumericalFailure
+from shotdeconv.estimator import EstimatorConfig
 from shotdeconv.model import _BLOCK, Exponential, ModelParams, normalize
 from shotdeconv.simulate import simulate_series
 
@@ -106,11 +110,42 @@ class TestConfigValidation:
     @pytest.mark.parametrize("theorem", [False, True])
     @pytest.mark.parametrize("s", [0.5, 0.25, -1.0])
     def test_s_at_most_half_exits_2(self, tmp_path, capsys, s, theorem):
-        # s feeds only the theorem cutoff, but is checked whenever it is given
+        # s and use_theorem_bandwidth are no longer settings, so any value of
+        # either is refused as an unknown key
         section = {"use_theorem_bandwidth": True} if theorem else {"cutoff": 2.0}
         config = _gamma_config(tmp_path, estimator={**section, "s": s})
         assert cli.main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-        assert f"s must be a finite real number > 0.5, got {s!r}" in capsys.readouterr().err
+        unknown = ["s", "use_theorem_bandwidth"] if theorem else ["s"]
+        assert f"unknown fields {unknown} in config.estimator" in capsys.readouterr().err
+
+    def test_estimator_keys_match_the_config_fields(self):
+        # every estimator key is one EstimatorConfig field; ratio comes from the model
+        fields = {f.name for f in dataclasses.fields(EstimatorConfig)}
+        assert cli._ESTIMATOR_KEYS == fields - {"ratio"}
+
+    @pytest.mark.parametrize(
+        "config, command",
+        [
+            ({"model": {}, "marks": {"type": "exponential", "rate": 1.0}}, "simulate"),
+            ({"model": {"lambda": 2.0, "alpha": 1.0, "delta": 1.0},
+              "marks": {"type": "exponential", "rate": 1.0}, "smoothness": {}}, "bench"),
+        ],
+        ids=["model", "smoothness"],
+    )
+    def test_missing_keys_message_ignores_hash_seed(self, tmp_path, config, command):
+        # missing keys are named in sorted order, whatever the set iteration order
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = [sys.executable, "-m", "shotdeconv.cli", command, "--config", str(path),
+                "--out", str(tmp_path / "o"), *(["--audit"] if command == "bench" else [])]
+        errs = []
+        for hash_seed in ("0", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+            assert proc.returncode == 2, proc.stderr
+            errs.append(proc.stderr)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("error: missing fields [")
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -233,29 +268,15 @@ class TestEstimate:
     def test_missing_cutoff_exits_2(self, tmp_path, capsys):
         config = _gamma_config(tmp_path, estimator={"x_grid": {"start": 0.0, "step": 0.05, "count": 201}})
         assert cli.main(["estimate", "--config", str(config)]) == 2
-        assert "cutoff" in capsys.readouterr().err
+        assert "pass --cutoff or set estimator.cutoff" in capsys.readouterr().err
 
-    def test_theorem_bandwidth_fallback(self, tmp_path):
-        config = _gamma_config(
-            tmp_path,
-            estimator={"use_theorem_bandwidth": True,
-                       "x_grid": {"start": 0.0, "step": 0.05, "count": 201}},
-        )
-        out = tmp_path / "o"
-        assert cli.main(["estimate", "--config", str(config), "--out", str(out)]) == 0
-        assert (out / "estimate.csv").exists()
-
-    def test_invalid_kappa_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--kappa", "--C"])
+    def test_removed_threshold_flag_exits_2(self, tmp_path, capsys, flag):
         config = _gamma_config(tmp_path)
-        code = cli.main(["estimate", "--config", str(config), "--kappa", "1.1"])
-        assert code == 2
-        assert "kappa" in capsys.readouterr().err
-
-    def test_bad_C_string_exits_2(self, tmp_path, capsys):
-        config = _gamma_config(tmp_path)
-        code = cli.main(["estimate", "--config", str(config), "--C", "automatic"])
-        assert code == 2
-        assert "adaptive" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["estimate", "--config", str(config), flag, "0.5"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("shift", [-1000.0, 1000.0])
     def test_extreme_mean_series_gives_estimate(self, tmp_path, shift):
@@ -409,17 +430,12 @@ class TestEstimateOutputPinning:
                 "6e990c7e24e3474f9ad94c23aa3ece1b9cbbe698884254f253a32615d6a9e972",
             ),
             (
-                ["--C", "0.3"],
-                "76d1a8e8939b5c6803195a556ec66a350aaef1bb86ec3d70e5d0c273c331e218",
-                "04e93d61e086c4f05a7139ec1845c9494042dc0b4491628b6615dc089007e41e",
-            ),
-            (
-                ["--kappa", "0.02", "--bin-width", "0.05"],
+                ["--bin-width", "0.05"],
                 "c29cc37039f53c7a51df31eb0c803dd7a6105de9d041e8e766ed725a07ad8a40",
                 "a455f829702f5ea0795683c5f8966f8006bb2a064a3f5a40746ddc037530b36f",
             ),
         ],
-        ids=["adaptive", "fixed-C", "kappa-and-bin-width"],
+        ids=["adaptive", "bin-width"],
     )
     def test_digests(self, tmp_path, workdir, flags, estimate_digest, diagnostics_digest):
         out = tmp_path / "o"
@@ -670,22 +686,18 @@ class TestConfigValueTypes:
         ("model.alpha", "alpha_phys", "number"),
         ("model.delta", "delta", "number"),
         ("estimator.cutoff", "cutoff", "number"),
-        ("estimator.s", "s", "number"),
-        ("estimator.kappa", "kappa", "optional"),
-        ("estimator.C", "C", "number"),
         ("estimator.bin_width", "bin_width", "optional"),
         ("estimator.renormalize", "renormalize", "flag"),
-        ("estimator.use_theorem_bandwidth", "use_theorem_bandwidth", "flag"),
         ("estimator.x_grid.start", "start", "number"),
         ("estimator.x_grid.step", "step", "number"),
         ("estimator.x_grid.count", "count", "count"),
     ]
 
-    # values no number, count or flag accepts; "adaptive" is C's one string
+    # values no number, count or flag accepts
     _never = st.one_of(
         st.booleans(),
         st.sampled_from(["1", "2.5", "nan", "abc", "", "true"]),
-        st.text(max_size=6).filter(lambda t: t != "adaptive"),
+        st.text(max_size=6),
         st.lists(st.integers(0, 3), max_size=3),
         st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
     )
@@ -719,8 +731,8 @@ class TestConfigValueTypes:
 
     # Each used to crash with a raw ValueError (exit 1) or to be read as
     # another value: "no" as True, 2.5 as 2, true as 1.0 and 2000.7 as 2000.
-    # kappa_exponent is no longer a setting, so its values are refused as an
-    # unknown key instead.
+    # s, kappa and kappa_exponent are no longer settings, so their values are
+    # refused as an unknown key instead.
     @pytest.mark.parametrize(
         ("path", "value", "name"),
         [
@@ -741,14 +753,15 @@ class TestConfigValueTypes:
     def test_former_crash_or_misread_exits_2(self, tmp_path, capsys, path, value, name):
         assert _estimate_with(tmp_path, path, value) == 2
         err = capsys.readouterr().err
-        if name == "kappa_exponent":
-            assert "unknown fields ['kappa_exponent'] in config.estimator" in err, err
+        if name in ("s", "kappa", "kappa_exponent"):
+            assert f"unknown fields [{name!r}] in config.estimator" in err, err
         else:
             assert re.search(rf"\b{name} must be\b", err), err
 
     def test_numeric_string_C_is_not_converted(self, tmp_path, capsys):
+        # C is no longer a setting: any value is refused as an unknown key
         assert _estimate_with(tmp_path, "estimator.C", "0.5") == 2
-        assert "C (or 'adaptive') must be" in capsys.readouterr().err
+        assert "unknown fields ['C'] in config.estimator" in capsys.readouterr().err
 
     def test_output_dir_must_be_a_string(self, tmp_path, capsys):
         config = _gamma_config(tmp_path, n=200, output={"dir": 5})

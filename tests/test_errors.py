@@ -82,7 +82,7 @@ class TestLibraryCases:
             lambda: ecf_from_histogram(build_histogram(np.arange(10.0), 1.0), 0.1, 3.7),
             lambda: EstimatorConfig(ratio=1.0, cutoff=1.0, renormalize="no"),
             lambda: EstimatorConfig(ratio=1.0, cutoff=1.0, renormalize=1),
-            lambda: EstimatorConfig(ratio=1.0, cutoff=1.0, C="0.5"),
+            lambda: theorem_threshold(1.0, "0.5", 1.0),
             lambda: theorem_cutoff(1000.0, 1.0, 1.0),
             lambda: hill_ratio(np.arange(1.0, 20.0), k=3.0),
             lambda: normalize("2", 1.0, 1.0),

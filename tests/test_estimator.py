@@ -1,7 +1,7 @@
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -51,21 +51,11 @@ class TestXGrid:
 class TestEstimatorConfig:
     def test_defaults(self):
         cfg = EstimatorConfig(ratio=1.25, cutoff=0.8)
-        assert cfg.kappa is None and cfg.C == "adaptive"
         assert cfg.bin_width is None and cfg.x_grid is None and cfg.renormalize is False
-
-    def test_kappa_open_interval(self):
-        EstimatorConfig(ratio=1.0, cutoff=1.0, kappa=0.5)
-        for bad in (0.0, 1.0, 1.1, -0.2):
-            with pytest.raises(InvalidParameterError):
-                EstimatorConfig(ratio=1.0, cutoff=1.0, kappa=bad)
-
-    def test_c_values(self):
-        assert EstimatorConfig(ratio=1.0, cutoff=1.0, C=0.5).C == 0.5
-        with pytest.raises(InvalidParameterError):
-            EstimatorConfig(ratio=1.0, cutoff=1.0, C="automatic")
-        with pytest.raises(InvalidParameterError):
-            EstimatorConfig(ratio=1.0, cutoff=1.0, C=-1.0)
+        # the threshold is not a setting
+        assert [f.name for f in fields(cfg)] == [
+            "ratio", "cutoff", "bin_width", "x_grid", "renormalize",
+        ]
 
     def test_ratio_strictly_positive(self):
         with pytest.raises(InvalidParameterError):
@@ -291,12 +281,15 @@ class TestEstimateDensity:
         b = estimate_density(series, EstimatorConfig(ratio=2.0, cutoff=2.0, bin_width=0.02))
         assert not np.array_equal(a.theta_hat, b.theta_hat)
 
-    def test_fixed_kappa_controls_thresholding(self, gamma_params, gamma_marks):
-        series = simulate_series(gamma_params, gamma_marks, 2_000, seed=3)
-        cfg = EstimatorConfig(ratio=2.0, cutoff=2.0, kappa=0.9)
-        est = estimate_density(series, cfg)
-        # |phi| dips below 0.9 quickly, so most of the grid is thresholded
-        assert est.diagnostics["fraction_thresholded"] > 0.5
+    def test_threshold_follows_sample_mean(self, gamma_params, gamma_marks):
+        # a shift leaves |phi| as it is but scales the adaptive C by exp(-shift)
+        values = simulate_series(gamma_params, gamma_marks, 2_000, seed=3).values
+        cfg = EstimatorConfig(ratio=2.0, cutoff=2.0)
+        kept = estimate_density(values, cfg).diagnostics
+        shifted = estimate_density(values - 10.0, cfg).diagnostics
+        assert kept["fraction_thresholded"] == 0.0
+        # at the shifted mean of about -8, kappa = exp(8) / 2 * 3**-4 is about 18
+        assert shifted["fraction_thresholded"] == 1.0
 
     def test_requires_config(self, gamma_params, gamma_marks):
         series = simulate_series(gamma_params, gamma_marks, 100, seed=0)

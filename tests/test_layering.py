@@ -2,17 +2,20 @@
 
 The order is errors -> serialize -> model -> simulate -> ecf -> estimator
 -> bench -> cli. The package ``__init__`` re-exports names of several layers and is
-exempt; ``cli`` may import ``__version__`` from it.
+exempt; ``cli`` may import ``__version__`` from it. The last test checks the
+names the benchmark's tracer wraps from outside the package.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 ORDER = ["errors", "serialize", "model", "simulate", "ecf", "estimator", "bench", "cli"]
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "shotdeconv"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "shotdeconv"
 
 
 def _package_imports(path):
@@ -57,3 +60,20 @@ def test_every_export_exists(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, missing
+
+
+def test_every_traced_name_is_bound():
+    # perfbench/tracer.py swaps owner.__dict__[leaf] for a timing wrapper; a
+    # renamed or dropped import would break only traced benchmark runs
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unbound = []
+    for module_name, attr, _name, _counter in tracer.TARGETS:
+        owner = importlib.import_module(f"shotdeconv.{module_name}")
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if owner is None or not callable(vars(owner).get(leaf)):
+            unbound.append(f"{module_name}.{attr}")
+    assert not unbound, unbound

@@ -24,11 +24,11 @@ REF_VAR = 109.03125
 
 class TestSampleSeries:
     def test_rejects_empty(self, ref_params, ref_marks):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="sample must be a nonempty 1-d array"):
             SampleSeries(np.array([]), ref_params, ref_marks, 0, 0)
 
     def test_rejects_nonfinite(self, ref_params, ref_marks):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="sample must hold only finite values"):
             SampleSeries(np.array([1.0, np.inf]), ref_params, ref_marks, 0, 0)
 
     def test_len_and_readonly(self, ref_params, ref_marks):
