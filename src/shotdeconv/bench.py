@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ecf import _symmetric_grid, build_histogram, ecf_from_histogram
+from .ecf import build_histogram, ecf_from_histogram
 from .errors import InvalidParameterError, _check_count, _check_number
 from .estimator import (
     EstimatorConfig,
@@ -59,6 +59,15 @@ _RENORMALIZE_BELOW = 10**4.5
 # Reference evaluation grid for the table experiment: 2048 points on [0, 30],
 # covering all mixture modes plus five standard deviations.
 _TABLE_X_GRID = XGrid(0.0, 30.0 / 2047, 2048)
+
+# sample sizes of the rate check's error table
+_RATE_N = (1_000, 10_000, 100_000)
+
+# the lower-bound audit compares the CFs on 1601 frequencies spaced evenly
+# over [-8, 8] and simulates one sample of this size for the ECF crossing
+_AUDIT_HALF = 800
+_AUDIT_U_STEP = 8.0 / _AUDIT_HALF
+_AUDIT_N = 100_000
 
 
 def table_cutoff(n):
@@ -254,21 +263,18 @@ def loglog_slope(n_values, errors):
     return slope, 1.96 * math.sqrt(s2 / sxx)
 
 
-def run_rate_check(params, marks, n_list, runs, base_seed, jobs=1):
+def run_rate_check(params, marks, runs, base_seed, jobs=1):
     """Empirical convergence-rate slope from a fresh error table.
 
-    Parameters mirror `run_table1`; at least three distinct sample sizes
-    are required.
+    Runs `run_table1` at n = 1e3, 1e4 and 1e5; the other parameters are
+    passed through.
 
     Returns
     -------
     dict
         ``{"slope", "half_width", "n", "mean_sup_errors"}``.
     """
-    distinct = sorted({_check_count(n, "n") for n in n_list})
-    if len(distinct) < 3:
-        raise InvalidParameterError(f"need at least 3 distinct n values, got {distinct}")
-    reports = run_table1(params, marks, n_list=n_list, runs=runs,
+    reports = run_table1(params, marks, n_list=_RATE_N, runs=runs,
                          base_seed=base_seed, jobs=jobs)
     means = [r.mean_sup_error for r in reports]
     slope, half = loglog_slope([r.n for r in reports], means)
@@ -280,15 +286,14 @@ def run_rate_check(params, marks, n_list, runs, base_seed, jobs=1):
     }
 
 
-def run_lower_bound_audit(params, marks, smoothness, n=100_000, seed=20_240,
-                          u_max=8.0, grid_count=1601):
+def run_lower_bound_audit(params, marks, smoothness, seed=20_240):
     """Check the CF decay lower bound against the quadrature oracle.
 
     First verifies the mark law against the smoothness-class bounds with the
     brute-force checker, then compares ``|true_shot_cf|`` to the guaranteed
-    lower bound on a dense frequency grid, and finally reports where the
-    empirical CF of one simulated sample first dips below the theorem
-    threshold.
+    lower bound on 1601 evenly spaced frequencies of [-8, 8], and finally
+    reports where the empirical CF of one simulated sample of size 1e5
+    (seeded with `seed`) first dips below the theorem threshold.
 
     Returns
     -------
@@ -308,21 +313,20 @@ def run_lower_bound_audit(params, marks, smoothness, n=100_000, seed=20_240,
         raise InvalidParameterError(
             f"marks fail the smoothness-class check: {admissibility}"
         )
-    half, u_step = _symmetric_grid(u_max, grid_count)
-    u = np.arange(-half, half + 1) * u_step
+    u = np.arange(-_AUDIT_HALF, _AUDIT_HALF + 1) * _AUDIT_U_STEP
     phi = true_shot_cf(params, marks, u)
     bound = cf_lower_bound(smoothness, params, u)
     slack = np.abs(phi) - bound
     worst = int(np.argmin(slack))
 
-    series = simulate_series(params, marks, n, seed=seed)
-    cut = theorem_cutoff(n, smoothness.s, params.ratio)
+    series = simulate_series(params, marks, _AUDIT_N, seed=seed)
+    cut = theorem_cutoff(_AUDIT_N, smoothness.s, params.ratio)
     kappa = theorem_threshold(cut, adaptive_C(series.values), params.ratio)
     hist = build_histogram(series.values)
-    ecf = ecf_from_histogram(hist, u_step, half)
-    abs_phi_pos = np.abs(ecf.phi[half:])
+    ecf = ecf_from_histogram(hist, _AUDIT_U_STEP, _AUDIT_HALF)
+    abs_phi_pos = np.abs(ecf.phi[_AUDIT_HALF:])
     below = np.nonzero(abs_phi_pos <= kappa)[0]
-    first_crossing = float(below[0] * u_step) if below.size else None
+    first_crossing = float(below[0] * _AUDIT_U_STEP) if below.size else None
 
     return {
         "admissibility": admissibility,

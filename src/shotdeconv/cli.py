@@ -235,10 +235,7 @@ def _cmd_bench(args):
                 "mean_sup_errors": list(means),
             }
         else:
-            report = run_rate_check(
-                params, marks, n_list=(1_000, 10_000, 100_000),
-                runs=args.runs, base_seed=base_seed, jobs=jobs,
-            )
+            report = run_rate_check(params, marks, runs=args.runs, base_seed=base_seed, jobs=jobs)
         write_text(os.path.join(out, "rate.json"), dumps_json(report))
         print(f"slope={format_float(report['slope'])} half_width={format_float(report['half_width'])}")
         return 0
@@ -261,13 +258,20 @@ def _read_errors_csv(path):
             header = handle.readline().strip()
             if header != "n,mean_sup_error":
                 _fail(f"{path} must start with header 'n,mean_sup_error', got {header!r}")
-            rows = np.loadtxt(handle, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # a header-only file is reported below, with its path
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(handle, delimiter=",", ndmin=2)
     except OSError as exc:
         _fail(f"could not read errors CSV {path}: {exc}")
     except ValueError as exc:
         _fail(f"malformed errors CSV {path}: {exc}")
+    if rows.size == 0:
+        _fail(f"errors CSV {path} holds no data rows")
     if rows.shape[1] != 2:
         _fail(f"{path} must have exactly two columns")
+    if rows.shape[0] < 2:
+        _fail(f"errors CSV {path} holds one data row; the log-log slope needs at least two")
     for row, (n, error) in enumerate(rows.tolist(), start=1):
         if not (math.isfinite(n) and n == math.floor(n)):
             _fail(f"{path} data row {row}: n must be a finite whole number, got {n!r}")

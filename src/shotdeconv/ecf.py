@@ -52,6 +52,9 @@ _EXACT_INDEX = 2**52
 # samples per block of the ECF power sums in `_ecf_sup_gap`; the two power
 # tables of one block (about 20 rows of complex values) stay in L2
 _SUM_BLOCK = 4096
+# the deviation table's grid: 161 frequencies spaced evenly over [-8, 8]
+_DEVIATION_HALF = 80
+_DEVIATION_U_STEP = 8.0 / _DEVIATION_HALF
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,9 +256,18 @@ def ecf_direct(sample, u):
     return phi, dphi
 
 
-def _czt_fft_len(n, m):
-    """FFT length of a chirp-z transform of `n` inputs to `m` outputs."""
-    return next_fast_len(n + m - 1, real=False)
+def _czt_plan(n, m, w, a, remedy):
+    """Chirp-z plan of `n` inputs to `m` outputs, points ``a * w**-k``.
+
+    Refuses a plan whose internal FFT would exceed 2^28 points before
+    anything of that size exists; `remedy` tells the user what to change.
+    """
+    fft_len = next_fast_len(n + m - 1, real=False)
+    if fft_len > _FFT_CAP:
+        raise ResourceLimitError(
+            f"chirp-z transform would need an FFT of {fft_len} > {_FFT_CAP} points; {remedy}"
+        )
+    return CZT(n, m=m, w=w, a=a)
 
 
 def ecf_from_histogram(hist, u_step, half_count):
@@ -285,19 +297,12 @@ def ecf_from_histogram(hist, u_step, half_count):
     """
     step = _check_number(u_step, "u_step", gt=0)
     half = _check_count(half_count, "half_count")
-    n_bins = hist.mass.size
-    size = 2 * half + 1
-    fft_len = _czt_fft_len(n_bins, size)
-    if fft_len > _FFT_CAP:
-        raise ResourceLimitError(
-            f"chirp-z transform would need an FFT of {fft_len} > {_FFT_CAP} points; "
-            "reduce half_count or increase bin_width"
-        )
     omega = step * hist.bin_width
-    w = np.exp(1j * omega)
-    a = np.exp(1j * omega * half)
-    # one plan serves both transforms; scipy's czt() builds this same plan per call
-    transform = CZT(n_bins, m=size, w=w, a=a)
+    # one plan serves both transforms
+    transform = _czt_plan(
+        hist.mass.size, 2 * half + 1, np.exp(1j * omega), np.exp(1j * omega * half),
+        "reduce half_count or increase bin_width",
+    )
     base = transform(hist.mass)
     dbase = transform(hist.mass * 1j * hist.centers)
     u = np.arange(-half, half + 1) * step
@@ -371,26 +376,13 @@ def _ecf_sup_gap(values, phi_true_half, u_step, half_count):
     return float(np.abs(ecf - phi_true_half).max())
 
 
-def _symmetric_grid(u_max, grid_count):
-    """``(half, u_step)`` of `grid_count` points spaced evenly over ``[-u_max, u_max]``.
-
-    The count must be odd, so that u = 0 is a grid point.
-    """
-    u_max = _check_number(u_max, "u_max", gt=0)
-    grid_count = _check_count(grid_count, "grid_count", minimum=3)
-    if grid_count % 2 == 0:
-        raise InvalidParameterError(f"grid_count must be odd, got {grid_count}")
-    half = (grid_count - 1) // 2
-    return half, u_max / half
-
-
-def ecf_deviation(params, marks, n_list, runs, base_seed, u_max=8.0, grid_count=161):
+def ecf_deviation(params, marks, n_list, runs, base_seed):
     """Monte-Carlo table of sup-norm ECF deviations from the true CF.
 
     For each sample size, simulates `runs` independent series, computes the
-    sup over a regular grid on ``[-u_max, u_max]`` of the gap between the
-    empirical CF and the quadrature oracle, and reports mean and standard
-    error. Used as an empirical check of the root-n deviation rate.
+    sup over 161 evenly spaced frequencies of ``[-8, 8]`` of the gap between
+    the empirical CF and the quadrature oracle, and reports mean and
+    standard error. Used as an empirical check of the root-n deviation rate.
 
     The ECF is summed exactly over each series by blocked power sums, one
     small complex matrix product per block of samples (`_ecf_sup_gap`), and
@@ -407,10 +399,6 @@ def ecf_deviation(params, marks, n_list, runs, base_seed, u_max=8.0, grid_count=
         Replicates per sample size, >= 2.
     base_seed : int
         Per-run seeds derive deterministically from this.
-    u_max : float, optional
-    grid_count : int, optional
-        Number of grid points across ``[-u_max, u_max]``; odd keeps 0 on
-        the grid.
 
     Returns
     -------
@@ -418,8 +406,7 @@ def ecf_deviation(params, marks, n_list, runs, base_seed, u_max=8.0, grid_count=
         One entry per n: ``{"n", "mean_sup", "se"}``.
     """
     runs = _check_count(runs, "runs", minimum=2)
-    half, u_step = _symmetric_grid(u_max, grid_count)
-    u_half = np.arange(half + 1) * u_step
+    u_half = np.arange(_DEVIATION_HALF + 1) * _DEVIATION_U_STEP
     phi_true_half = np.asarray(true_shot_cf(params, marks, u_half))
     out = []
     for tier, n in enumerate(n_list):
@@ -428,7 +415,9 @@ def ecf_deviation(params, marks, n_list, runs, base_seed, u_max=8.0, grid_count=
         for run in range(runs):
             seed = derive_seed(base_seed, tier, run)
             series = simulate_series(params, marks, n, seed=seed)
-            sups[run] = _ecf_sup_gap(series.values, phi_true_half, u_step, half)
+            sups[run] = _ecf_sup_gap(
+                series.values, phi_true_half, _DEVIATION_U_STEP, _DEVIATION_HALF
+            )
         mean = float(sups.mean())
         se = float(sups.std(ddof=1) / math.sqrt(runs))
         out.append({"n": n, "mean_sup": mean, "se": se})

@@ -14,13 +14,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import czt
 
-from .ecf import _FFT_CAP, EcfGrid, _czt_fft_len, build_histogram, ecf_from_histogram
+from .ecf import EcfGrid, _czt_plan, build_histogram, ecf_from_histogram
 from .errors import (
     InvalidParameterError,
     NumericalFailure,
-    ResourceLimitError,
     _check_count,
     _check_number,
     checked_sample,
@@ -259,12 +257,10 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, diagnostics=None):
     cutoff = _check_number(cutoff, "cutoff", gt=0)
     if not isinstance(x_grid, XGrid):
         raise InvalidParameterError("x_grid must be an XGrid")
-    fft_len = _czt_fft_len(values.size, x_grid.count)
-    if fft_len > _FFT_CAP:
-        raise ResourceLimitError(
-            f"inversion chirp-z transform would need an FFT of {fft_len} > {_FFT_CAP} "
-            "points; reduce the x_grid count"
-        )
+    omega = x_grid.step * step
+    transform = _czt_plan(
+        values.size, x_grid.count, np.exp(-1j * omega), 1.0 + 0.0j, "reduce the x_grid count"
+    )
     half = (values.size - 1) // 2
     span = half * step
     if span < cutoff * (1.0 - 1e-12):
@@ -280,8 +276,7 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, diagnostics=None):
     g = np.where(inside, values, 0.0)
     # one chirp-z transform evaluates sum_j g_j exp(-i x u_j) on the whole x grid
     g = g * np.exp(-1j * x_grid.start * u)
-    omega = x_grid.step * step
-    spectrum = czt(g, m=x_grid.count, w=np.exp(-1j * omega), a=1.0 + 0.0j)
+    spectrum = transform(g)
     spectrum *= np.exp(1j * omega * np.arange(x_grid.count) * half)
     raw = spectrum * (step / (2.0 * math.pi))
     sup_real = float(np.max(np.abs(raw.real)))

@@ -283,7 +283,11 @@ class SmoothnessConfig:
         object.__setattr__(self, "m", _check_number(self.m, "m", gt=0))
 
 
-def true_shot_cf(params, marks, u, rel_tol=1e-8, _max_depth=60):
+# relative tolerance of the CF oracle's quadrature (`true_shot_cf`)
+_REL_TOL = 1e-8
+
+
+def true_shot_cf(params, marks, u, _max_depth=60):
     """Characteristic function of the stationary sampled shot noise.
 
     Evaluates ``exp(ratio * I(u))`` where ``I(u)`` is the integral from 0 to
@@ -296,17 +300,16 @@ def true_shot_cf(params, marks, u, rel_tol=1e-8, _max_depth=60):
     estimate sees the same errors either way, so this equals integrating at
     ``u`` itself.
 
+    The error of every ``I(u)`` is bounded by 1e-8 times the largest
+    ``|I(u)|`` of the call, so the relative error of each result is at most
+    about ``1e-8 * ratio * max|I(u)|``.
+
     Parameters
     ----------
     params : ModelParams
     marks : MarkDistribution
     u : float or array_like
         Evaluation point(s).
-    rel_tol : float, optional
-        Relative tolerance in ``(0, 1e-2]``. The error of every ``I(u)`` is
-        bounded by ``rel_tol`` times the largest ``|I(u)|`` of the call, so
-        the relative error of each result is at most about
-        ``ratio * rel_tol * max|I(u)|``.
 
     Returns
     -------
@@ -318,7 +321,6 @@ def true_shot_cf(params, marks, u, rel_tol=1e-8, _max_depth=60):
         If the quadrature does not converge within ``2**_max_depth``
         subintervals. The best available value is attached as ``partial``.
     """
-    rel_tol = _check_number(rel_tol, "rel_tol", gt=0, le=1e-2)
     u_arr = np.asarray(u, dtype=float)
     u_flat = np.atleast_1d(u_arr).ravel()
     if not np.all(np.isfinite(u_flat)):
@@ -331,7 +333,7 @@ def true_shot_cf(params, marks, u, rel_tol=1e-8, _max_depth=60):
         return (marks.cf(t * u_abs) - 1.0) / t
 
     log_phi, _, info = integrate.quad_vec(
-        integrand, 0.0, 1.0, epsrel=rel_tol, norm="max", limit=2**_max_depth, full_output=True
+        integrand, 0.0, 1.0, epsrel=_REL_TOL, norm="max", limit=2**_max_depth, full_output=True
     )
     phi = np.exp(params.ratio * log_phi)
     phi[u_abs == 0.0] = 1.0 + 0.0j
@@ -340,8 +342,7 @@ def true_shot_cf(params, marks, u, rel_tol=1e-8, _max_depth=60):
     result = complex(phi[0]) if u_arr.ndim == 0 else phi.reshape(u_arr.shape)
     if not info.success:
         raise NumericalFailure(
-            f"quadrature did not converge within {2**_max_depth} subintervals "
-            f"at rel_tol={rel_tol}",
+            f"quadrature did not converge within {2**_max_depth} subintervals",
             partial=result,
         )
     return result

@@ -12,7 +12,6 @@ from shotdeconv.bench import (
     reports_to_csv,
     reports_to_json_obj,
     run_lower_bound_audit,
-    run_rate_check,
     run_table1,
     sup_error,
     table_cutoff,
@@ -194,12 +193,6 @@ class TestRunTable1:
             run_table1(gamma_params, gamma_marks, n_list=(100,), runs=1)
 
 
-class TestRunRateCheck:
-    def test_needs_three_sizes(self, gamma_params, gamma_marks):
-        with pytest.raises(InvalidParameterError, match="3 distinct"):
-            run_rate_check(gamma_params, gamma_marks, (100, 200), runs=2, base_seed=0)
-
-
 class TestLowerBoundAudit:
     def _smoothness(self):
         # brute-force constants for Exponential(1): E|Y|^5 = 120,
@@ -207,10 +200,7 @@ class TestLowerBoundAudit:
         return SmoothnessConfig(1.0, 121.0, 0.378, 1.0)
 
     def test_gamma_configuration_passes(self, gamma_params, gamma_marks):
-        report = run_lower_bound_audit(
-            gamma_params, gamma_marks, self._smoothness(), n=2_000, seed=4,
-            u_max=8.0, grid_count=321,
-        )
+        report = run_lower_bound_audit(gamma_params, gamma_marks, self._smoothness(), seed=4)
         assert report["passed"] is True
         assert report["min_slack"] >= 0.0
         assert report["admissibility"]["admissible"] is True
@@ -220,13 +210,7 @@ class TestLowerBoundAudit:
     def test_inadmissible_marks_rejected(self, gamma_params, gamma_marks):
         tight = SmoothnessConfig(1.0, 100.0, 0.378, 1.0)  # K below E|Y|^5
         with pytest.raises(InvalidParameterError, match="smoothness"):
-            run_lower_bound_audit(gamma_params, gamma_marks, tight, n=500, seed=0)
-
-    def test_grid_count_validation(self, gamma_params, gamma_marks):
-        with pytest.raises(InvalidParameterError):
-            run_lower_bound_audit(
-                gamma_params, gamma_marks, self._smoothness(), n=500, seed=0, grid_count=10
-            )
+            run_lower_bound_audit(gamma_params, gamma_marks, tight, seed=0)
 
 
 class TestReportWriters:

@@ -470,6 +470,21 @@ class TestBench:
         assert code == 2
         assert "header" in capsys.readouterr().err
 
+    def test_rate_runs_the_error_table(self, tmp_path, capsys):
+        # the error table at n = 1e3, 1e4, 1e5; digest recorded with numpy 2.4
+        # and scipy 1.17 on x86-64, when the CLI still passed those sizes in
+        config = _gamma_config(tmp_path)
+        out = tmp_path / "o"
+        code = cli.main(["bench", "--config", str(config), "--rate", "--runs", "2",
+                         "--jobs", "1", "--seed", "1", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("slope=")
+        data = (out / "rate.json").read_bytes()
+        assert json.loads(data)["n"] == [1000, 10000, 100000]
+        assert hashlib.sha256(data).hexdigest() == (
+            "936f64dbf2c6f31dfa7eb860c2b55924a8a76ce3d123401c20389fec9a1e3f89"
+        )
+
     def test_audit_passes_for_exponential_marks(self, tmp_path, capsys):
         config = _gamma_config(
             tmp_path,
@@ -865,6 +880,21 @@ class TestRateErrorsInput:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {errors} data row 3: mean_sup_error must be finite, got nan\n"
+        )
+        assert not (out / "rate.json").exists()
+
+    def test_header_only_names_the_file(self, tmp_path, capsys):
+        # exit 2 naming the file, and no numpy warning (the suite fails on one)
+        code, errors, out = self._run(tmp_path, "")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: errors CSV {errors} holds no data rows\n"
+        assert not (out / "rate.json").exists()
+
+    def test_one_row_names_the_file(self, tmp_path, capsys):
+        code, errors, out = self._run(tmp_path, "1000,0.1\n")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: errors CSV {errors} holds one data row; the log-log slope needs at least two\n"
         )
         assert not (out / "rate.json").exists()
 

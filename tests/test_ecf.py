@@ -361,10 +361,8 @@ class TestHistogramCfBounds:
 class TestEcfDeviation:
     def test_structure_and_determinism(self):
         params = ModelParams(2.0, 1.0, 2.0)
-        a = ecf_deviation(params, Exponential(1.0), (200, 400), runs=3, base_seed=5,
-                          u_max=4.0, grid_count=17)
-        b = ecf_deviation(params, Exponential(1.0), (200, 400), runs=3, base_seed=5,
-                          u_max=4.0, grid_count=17)
+        a = ecf_deviation(params, Exponential(1.0), (200, 400), runs=3, base_seed=5)
+        b = ecf_deviation(params, Exponential(1.0), (200, 400), runs=3, base_seed=5)
         assert [r["n"] for r in a] == [200, 400]
         for ra, rb in zip(a, b):
             assert ra["mean_sup"] == rb["mean_sup"]
@@ -372,16 +370,13 @@ class TestEcfDeviation:
 
     def test_larger_n_smaller_deviation(self):
         params = ModelParams(2.0, 1.0, 2.0)
-        out = ecf_deviation(params, Exponential(1.0), (100, 10_000), runs=5, base_seed=1,
-                            u_max=4.0, grid_count=33)
+        out = ecf_deviation(params, Exponential(1.0), (100, 10_000), runs=5, base_seed=1)
         assert out[1]["mean_sup"] < out[0]["mean_sup"]
 
     def test_validation(self):
         params = ModelParams(1.0, 1.0, 1.0)
         with pytest.raises(InvalidParameterError):
             ecf_deviation(params, PointMass(1.0), (100,), runs=1, base_seed=0)
-        with pytest.raises(InvalidParameterError):
-            ecf_deviation(params, PointMass(1.0), (100,), runs=2, base_seed=0, grid_count=10)
 
 
 class TestEcfSupGapKernel:

@@ -103,9 +103,10 @@ class TestLibraryCases:
     def test_ecf_deviation_counts(self):
         params = ModelParams(2.0, 1.0, 2.0)
         marks = Exponential(1.0)
-        for kwargs in ({"runs": 2.0}, {"grid_count": 5.0}, {"grid_count": 4}):
-            with pytest.raises(InvalidParameterError):
-                ecf_deviation(params, marks, [10], **{"runs": 2, "base_seed": 1, **kwargs})
+        with pytest.raises(InvalidParameterError):
+            ecf_deviation(params, marks, [10], runs=2.0, base_seed=1)
+        with pytest.raises(InvalidParameterError):
+            ecf_deviation(params, marks, [10.0], runs=2, base_seed=1)
 
     def test_numpy_values_still_accepted(self):
         grid = XGrid(np.float32(0.0), np.float64(0.5), np.int64(4))

@@ -341,12 +341,6 @@ class TestTrueShotCf:
         phi = true_shot_cf(params, Exponential(1.0), np.array([0.0, 1.0, 3.0]))
         assert np.allclose(phi, 1.0, atol=1e-14)
 
-    def test_rel_tol_validation(self, ref_params, ref_marks):
-        with pytest.raises(InvalidParameterError):
-            true_shot_cf(ref_params, ref_marks, 1.0, rel_tol=0.0)
-        with pytest.raises(InvalidParameterError):
-            true_shot_cf(ref_params, ref_marks, 1.0, rel_tol=0.1)
-
     def test_nonfinite_u(self, ref_params, ref_marks):
         with pytest.raises(InvalidParameterError):
             true_shot_cf(ref_params, ref_marks, float("inf"))
