@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -22,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .bench import (
-    loglog_slope,
     per_run_errors_to_csv,
     reports_to_csv,
     reports_to_json_obj,
@@ -91,10 +89,10 @@ def _resolve_seed(raw, args):
     return raw.get("seed", 0)
 
 
-def _resolve_n(raw, args, default=None):
+def _resolve_n(raw, args):
     n = getattr(args, "n", None)
     if n is None:
-        n = raw.get("n", default)
+        n = raw.get("n")
     if n is None:
         _fail("sample size required: pass --n or set 'n' in the config")
     return n
@@ -165,6 +163,14 @@ def _read_series_file(path):
     return values
 
 
+def _input_values(raw, args, params, marks):
+    """The `--in` series file's values, or else `n` values simulated at the seed."""
+    if args.infile is not None:
+        return _read_series_file(args.infile)
+    n = _resolve_n(raw, args)
+    return simulate_series(params, marks, n, seed=_resolve_seed(raw, args)).values
+
+
 def _cmd_simulate(args):
     raw = _load_config(args.config)
     params, marks = _resolve_model(raw)
@@ -195,13 +201,8 @@ def _cmd_simulate(args):
 def _cmd_estimate(args):
     raw = _load_config(args.config)
     params, marks = _resolve_model(raw)
-    seed = _resolve_seed(raw, args)
     out = _resolve_out_dir(raw, args)
-    if args.infile is not None:
-        values = _read_series_file(args.infile)
-    else:
-        n = _resolve_n(raw, args)
-        values = simulate_series(params, marks, n, seed=seed).values
+    values = _input_values(raw, args, params, marks)
     config = _resolve_estimator_config(raw, args, params)
     estimate = estimate_density(values, config)
     write_text(os.path.join(out, "estimate.csv"), density_to_csv(estimate))
@@ -225,17 +226,7 @@ def _cmd_bench(args):
         write_text(os.path.join(out, "table1.json"), dumps_json(reports_to_json_obj(reports)))
         return 0
     if args.rate:
-        if args.errors is not None:
-            n_values, means = _read_errors_csv(args.errors)
-            slope, half = loglog_slope(n_values, means)
-            report = {
-                "slope": slope,
-                "half_width": half,
-                "n": [int(v) for v in n_values],
-                "mean_sup_errors": list(means),
-            }
-        else:
-            report = run_rate_check(params, marks, runs=args.runs, base_seed=base_seed, jobs=jobs)
+        report = run_rate_check(params, marks, runs=args.runs, base_seed=base_seed, jobs=jobs)
         write_text(os.path.join(out, "rate.json"), dumps_json(report))
         print(f"slope={format_float(report['slope'])} half_width={format_float(report['half_width'])}")
         return 0
@@ -252,43 +243,10 @@ def _cmd_bench(args):
     _fail("bench needs one of --table1, --rate, --audit")
 
 
-def _read_errors_csv(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            header = handle.readline().strip()
-            if header != "n,mean_sup_error":
-                _fail(f"{path} must start with header 'n,mean_sup_error', got {header!r}")
-            with warnings.catch_warnings():
-                # a header-only file is reported below, with its path
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(handle, delimiter=",", ndmin=2)
-    except OSError as exc:
-        _fail(f"could not read errors CSV {path}: {exc}")
-    except ValueError as exc:
-        _fail(f"malformed errors CSV {path}: {exc}")
-    if rows.size == 0:
-        _fail(f"errors CSV {path} holds no data rows")
-    if rows.shape[1] != 2:
-        _fail(f"{path} must have exactly two columns")
-    if rows.shape[0] < 2:
-        _fail(f"errors CSV {path} holds one data row; the log-log slope needs at least two")
-    for row, (n, error) in enumerate(rows.tolist(), start=1):
-        if not (math.isfinite(n) and n == math.floor(n)):
-            _fail(f"{path} data row {row}: n must be a finite whole number, got {n!r}")
-        if not math.isfinite(error):
-            _fail(f"{path} data row {row}: mean_sup_error must be finite, got {error!r}")
-    return rows[:, 0], rows[:, 1]
-
-
 def _cmd_hill(args):
     raw = _load_config(args.config)
     params, marks = _resolve_model(raw)
-    seed = _resolve_seed(raw, args)
-    if args.infile is not None:
-        values = _read_series_file(args.infile)
-    else:
-        n = _resolve_n(raw, args)
-        values = simulate_series(params, marks, n, seed=seed).values
+    values = _input_values(raw, args, params, marks)
     estimate = hill_ratio(values, k=args.k)
     k_used = args.k if args.k is not None else default_hill_k(values.size)
     print(f"ratio_estimate={format_float(estimate)} k={k_used}")
@@ -338,8 +296,6 @@ def build_parser():
     mode.add_argument("--audit", action="store_true", help="CF lower-bound audit")
     p_bench.add_argument("--runs", type=int, default=100, help="Monte-Carlo replicates")
     p_bench.add_argument("--jobs", type=int, default=None, help="worker processes")
-    p_bench.add_argument("--errors", default=None,
-                         help="precomputed 'n,mean_sup_error' CSV for --rate")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_hill = sub.add_parser("hill", help="estimate the intensity/decay ratio")

@@ -62,23 +62,19 @@ class Histogram:
     """Normalized histogram on the integer-bin grid ``[l*w, (l+1)*w)``.
 
     ``mass[k]`` is the fraction of the sample in bin ``l_min + k``. The last
-    bin is closed on the right so the full sample is covered.
+    bin, ``l_max``, is closed on the right so the full sample is covered.
     """
 
     bin_width: float
     l_min: int
-    l_max: int
     mass: np.ndarray
 
     def __post_init__(self):
         width = _check_number(self.bin_width, "bin_width", gt=0)
         l_min = _check_count(self.l_min, "l_min", minimum=1 - _EXACT_INDEX)
-        l_max = _check_count(self.l_max, "l_max", minimum=l_min)
         mass = np.asarray(self.mass, dtype=float)
-        if mass.ndim != 1 or mass.size != l_max - l_min + 1:
-            raise InvalidParameterError(
-                f"mass must have length l_max-l_min+1 = {l_max - l_min + 1}, got {mass.size}"
-            )
+        if mass.ndim != 1:
+            raise InvalidParameterError(f"mass must be a 1-d array, got {mass.ndim} dimensions")
         if np.any(mass < 0):
             raise InvalidParameterError("mass must be nonnegative")
         total = float(mass.sum())
@@ -88,8 +84,12 @@ class Histogram:
         mass.setflags(write=False)
         object.__setattr__(self, "bin_width", width)
         object.__setattr__(self, "l_min", l_min)
-        object.__setattr__(self, "l_max", l_max)
         object.__setattr__(self, "mass", mass)
+
+    @property
+    def l_max(self):
+        """Index of the top bin, ``l_min + mass.size - 1``."""
+        return self.l_min + self.mass.size - 1
 
     @property
     def centers(self):
@@ -169,7 +169,7 @@ def build_histogram(sample, bin_width=None):
     # index nbins holds only values exactly on the top edge hi = (l_max+1)*w
     counts[nbins - 1] += counts[nbins]
     mass = counts[:nbins] / values.size
-    return Histogram(width, l_min, l_max, mass)
+    return Histogram(width, l_min, mass)
 
 
 @dataclass(frozen=True, eq=False)

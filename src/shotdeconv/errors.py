@@ -34,16 +34,16 @@ class ResourceLimitError(RuntimeError):
     """A requested computation would exceed a hard resource cap."""
 
 
-_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+_COMPARE = {">": operator.gt, ">=": operator.ge}
 
 
-def _check_number(value, name, *, gt=None, ge=None, lt=None, le=None):
+def _check_number(value, name, *, gt=None, ge=None):
     """`value` as a float, if it is a finite real number within the given bounds.
 
     A real number is a Python or numpy int or float, never a bool. `gt`/`ge`
-    give an open/closed lower bound, `lt`/`le` an open/closed upper one.
+    give an open/closed lower bound.
     """
-    bounds = [(op, b) for op, b in ((">", gt), (">=", ge), ("<", lt), ("<=", le)) if b is not None]
+    bounds = [(op, b) for op, b in ((">", gt), (">=", ge)) if b is not None]
     if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
         value = float(value)
         if math.isfinite(value) and all(_COMPARE[op](value, b) for op, b in bounds):

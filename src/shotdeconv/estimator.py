@@ -10,7 +10,6 @@ term is suppressed and the integrand falls back to the constant 1.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -403,15 +402,21 @@ def hill_ratio(sample, k=None):
     Parameters
     ----------
     sample : SampleSeries or array_like
-        Strictly positive observations.
+        Observations of at least the smallest normal double, so that every
+        reciprocal is finite.
     k : int, optional
         Number of upper order statistics; defaults to `default_hill_k`.
 
     Returns
     -------
     float
-        The ratio estimate; ``inf`` (with a warning) when the tail is
-        degenerate.
+        The ratio estimate, finite and positive.
+
+    Raises
+    ------
+    InvalidParameterError
+        If a value is below the smallest normal double, or if the ``k + 1``
+        smallest values are equal, so that the Hill statistic is 0.
     """
     values, lo, _ = checked_sample(sample)
     if values.size < 2:
@@ -419,6 +424,11 @@ def hill_ratio(sample, k=None):
     if lo <= 0:
         raise InvalidParameterError(
             "all sample values must be > 0 for the Hill route (reciprocal transform)"
+        )
+    if lo < _TINY:
+        raise InvalidParameterError(
+            f"all sample values must be >= {_TINY!r} (the smallest normal double) for the "
+            f"Hill route, whose reciprocal of a smaller value overflows; got minimum {lo!r}"
         )
     n = values.size
     if k is None:
@@ -430,8 +440,10 @@ def hill_ratio(sample, k=None):
     top = part[n - k :]
     hill = float(np.mean(np.log(top) - math.log(pivot)))
     if hill <= 0.0:
-        warnings.warn("degenerate upper tail: Hill statistic is 0, returning inf")
-        return float("inf")
+        raise InvalidParameterError(
+            f"the k + 1 = {k + 1} smallest sample values are equal (to working precision), "
+            f"so the Hill statistic is 0; pass a larger k (at most n - 1 = {n - 1})"
+        )
     return 1.0 / hill
 
 

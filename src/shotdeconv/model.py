@@ -153,9 +153,6 @@ class GaussianMixture:
             out += w / (sd * math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * ((x_arr - mu) / sd) ** 2)
         return out if x_arr.ndim else float(out)
 
-    def mean(self):
-        return math.fsum(w * mu for w, mu in zip(self.weights, self.means))
-
     def abs_moment(self, order):
         """E|Y|^order by numeric integration."""
         order = _check_number(order, "order", ge=0)
@@ -219,9 +216,6 @@ class Exponential:
         out = np.where(x_arr >= 0, self.rate * np.exp(-self.rate * np.clip(x_arr, 0, None)), 0.0)
         return out if x_arr.ndim else float(out)
 
-    def mean(self):
-        return 1.0 / self.rate
-
     def abs_moment(self, order):
         order = _check_number(order, "order", ge=0)
         return math.gamma(order + 1.0) / self.rate**order
@@ -246,9 +240,6 @@ class PointMass:
 
     def pdf(self, x):
         raise InvalidParameterError("a point mass has no density")
-
-    def mean(self):
-        return self.value
 
     def abs_moment(self, order):
         order = _check_number(order, "order", ge=0)

@@ -42,26 +42,17 @@ def _check_seed(seed):
 
 @dataclass(frozen=True, eq=False)
 class SampleSeries:
-    """Regularly sampled shot-noise observations plus their provenance.
+    """Regularly sampled shot-noise observations and the burn-in before them.
 
     Parameters
     ----------
     values : ndarray
         The observations, finite, nonempty.
-    params : ModelParams
-        Normalized parameters used to generate the series.
-    marks : MarkDistribution
-        Mark law used to generate the series.
-    seed : int
-        64-bit seed that produced the series.
     burn_in : int
         Number of initial recursion steps discarded before `values`.
     """
 
     values: np.ndarray
-    params: object
-    marks: object
-    seed: int
     burn_in: int
 
     def __post_init__(self):
@@ -69,11 +60,7 @@ class SampleSeries:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "seed", _check_seed(self.seed))
         object.__setattr__(self, "burn_in", _check_count(self.burn_in, "burn_in", minimum=0))
-
-    def __len__(self):
-        return self.values.size
 
 
 def default_burn_in(params):
@@ -211,7 +198,7 @@ def simulate_series(params, marks, n, burn_in=None, seed=0):
     innov = _innovations(params, marks, n + burn_in, rng)
     decay = math.exp(-params.alpha_norm)
     path = lfilter([1.0], [1.0, -decay], innov)
-    return SampleSeries(path[burn_in:], params, marks, seed, burn_in)
+    return SampleSeries(path[burn_in:], burn_in)
 
 
 def series_to_csv(series):

