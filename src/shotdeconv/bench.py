@@ -9,6 +9,7 @@ audit) that check the theory empirically rather than reproducing constants.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -151,15 +152,27 @@ def _one_table_error(task):
     return sup_error(estimate, marks)
 
 
+def _resolve_jobs(jobs):
+    """Worker processes for `jobs`; None means every CPU this process may use."""
+    if jobs is not None:
+        return _check_count(jobs, "jobs")
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_tasks(tasks, jobs):
-    if jobs <= 1 or len(tasks) <= 1:
+    # under fork a pool starts all its workers at its first task, so it gets
+    # no more workers than tasks
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [_one_table_error(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_one_table_error, tasks, chunksize=1))
 
 
 def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
-               base_seed=2024, jobs=1):
+               base_seed=2024, jobs=None):
     """Monte-Carlo sup-error table over sample sizes.
 
     For each entry of `n_list`, simulates `runs` independent series, estimates
@@ -180,15 +193,16 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
     runs : int
         Monte-Carlo replicates per sample size, >= 2.
     base_seed : int
-    jobs : int, optional
-        Worker processes; 1 runs inline.
+    jobs : int or None, optional
+        Worker processes; None uses every CPU this process may run on, and
+        1 runs inline.
 
     Returns
     -------
     list of McReport
     """
     runs = _check_count(runs, "runs", minimum=2)
-    jobs = _check_count(jobs, "jobs")
+    jobs = _resolve_jobs(jobs)
     reports = []
     for n in n_list:
         n = _check_count(n, "n")
@@ -263,7 +277,7 @@ def loglog_slope(n_values, errors):
     return slope, 1.96 * math.sqrt(s2 / sxx)
 
 
-def run_rate_check(params, marks, runs, base_seed, jobs=1):
+def run_rate_check(params, marks, runs, base_seed, jobs=None):
     """Empirical convergence-rate slope from a fresh error table.
 
     Runs `run_table1` at n = 1e3, 1e4 and 1e5; the other parameters are

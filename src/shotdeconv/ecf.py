@@ -23,6 +23,7 @@ from scipy.signal import CZT
 
 from .errors import (
     InvalidParameterError,
+    NumericalFailure,
     ResourceLimitError,
     _check_count,
     _check_number,
@@ -55,6 +56,8 @@ _SUM_BLOCK = 4096
 # the deviation table's grid: 161 frequencies spaced evenly over [-8, 8]
 _DEVIATION_HALF = 80
 _DEVIATION_U_STEP = 8.0 / _DEVIATION_HALF
+# how far an ECF grid may miss each of its exact properties (see `_ecf_misses`)
+_ECF_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +175,23 @@ def build_histogram(sample, bin_width=None):
     return Histogram(width, l_min, mass)
 
 
+def _ecf_misses(phi, dphi):
+    """How far an ECF on a symmetric grid misses its exact properties.
+
+    Returns the misses of phi(0) = 1, of |phi| <= 1, of conjugate symmetry
+    of phi and of conjugate antisymmetry of phi_prime, in that order. phi
+    is bounded by 1, so its misses are absolute; the derivative scales with
+    the sample magnitude, so its miss is relative to its own size.
+    """
+    dphi_scale = max(1.0, float(np.max(np.abs(dphi))))
+    return (
+        abs(phi[phi.size // 2] - 1.0),
+        np.max(np.abs(phi)) - 1.0,
+        np.max(np.abs(phi - np.conj(phi[::-1]))),
+        np.max(np.abs(dphi + np.conj(dphi[::-1]))) / dphi_scale,
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class EcfGrid:
     """ECF and its derivative on the symmetric grid ``u = j * u_step``.
@@ -193,17 +213,14 @@ class EcfGrid:
         size = 2 * half + 1
         if phi.shape != (size,) or dphi.shape != (size,):
             raise InvalidParameterError(f"phi and phi_prime must have length {size}")
-        if abs(phi[half] - 1.0) > 1e-9:
+        at_zero, modulus, symmetry, antisymmetry = _ecf_misses(phi, dphi)
+        if at_zero > _ECF_TOL:
             raise InvalidParameterError(f"phi at u=0 must be 1, got {phi[half]!r}")
-        if np.max(np.abs(phi)) > 1.0 + 1e-9:
+        if modulus > _ECF_TOL:
             raise InvalidParameterError("|phi| must not exceed 1")
-        if np.max(np.abs(phi - np.conj(phi[::-1]))) > 1e-9:
+        if symmetry > _ECF_TOL:
             raise InvalidParameterError("phi must be conjugate-symmetric in u")
-        # phi is bounded by 1 so an absolute tolerance works above; the
-        # derivative scales with the sample magnitude, so its check is
-        # relative to its own size.
-        dphi_scale = max(1.0, float(np.max(np.abs(dphi))))
-        if np.max(np.abs(dphi + np.conj(dphi[::-1]))) > 1e-9 * dphi_scale:
+        if antisymmetry > _ECF_TOL:
             raise InvalidParameterError("phi_prime must be conjugate-antisymmetric in u")
         phi = phi.copy()
         dphi = dphi.copy()
@@ -294,6 +311,10 @@ def ecf_from_histogram(hist, u_step, half_count):
     ------
     ResourceLimitError
         If the internal FFT length would exceed 2^28 points.
+    NumericalFailure
+        If the transform misses phi(0) = 1, |phi| <= 1 or the conjugate
+        symmetries by more than 1e-9. The chirp-z rounding grows with the
+        bin count, so at fine bin widths it can; a wider bin is the remedy.
     """
     step = _check_number(u_step, "u_step", gt=0)
     half = _check_count(half_count, "half_count")
@@ -307,7 +328,15 @@ def ecf_from_histogram(hist, u_step, half_count):
     dbase = transform(hist.mass * 1j * hist.centers)
     u = np.arange(-half, half + 1) * step
     phase = np.exp(1j * u * hist.bin_width * (hist.l_min + 0.5))
-    return EcfGrid(step, half, base * phase, dbase * phase)
+    phi = base * phase
+    dphi = dbase * phase
+    miss = max(_ecf_misses(phi, dphi))
+    if miss > _ECF_TOL:
+        raise NumericalFailure(
+            f"the chirp-z ECF over {hist.mass.size} bins misses its exact values "
+            f"by {miss:.3g} (tolerance {_ECF_TOL:g}); increase bin_width"
+        )
+    return EcfGrid(step, half, phi, dphi)
 
 
 def histogram_cf_bounds(hist, u):

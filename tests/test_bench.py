@@ -1,9 +1,11 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
 
+from shotdeconv import bench
 from shotdeconv.bench import (
     _CUTOFF_ANCHORS,
     McReport,
@@ -191,6 +193,70 @@ class TestRunTable1:
     def test_rejects_single_run(self, gamma_params, gamma_marks):
         with pytest.raises(InvalidParameterError):
             run_table1(gamma_params, gamma_marks, n_list=(100,), runs=1)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """`max_workers` of every pool `run_table1` builds; the pools run no process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestJobs:
+    """`jobs=None` means every CPU this process may use; 1 worker runs inline."""
+
+    KWARGS = dict(n_list=(300, 400), runs=3, base_seed=11)
+
+    def test_default_on_one_cpu_runs_inline(self, gamma_params, gamma_marks, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError(f"pool of {max_workers} built on one CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+        default = run_table1(gamma_params, gamma_marks, **self.KWARGS)
+        inline = run_table1(gamma_params, gamma_marks, jobs=1, **self.KWARGS)
+        assert reports_to_csv(default) == reports_to_csv(inline)
+        assert per_run_errors_to_csv(default) == per_run_errors_to_csv(inline)
+
+    def test_default_on_two_cpus_builds_one_pool_per_tier(
+        self, gamma_params, gamma_marks, monkeypatch, pool_sizes
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        run_table1(gamma_params, gamma_marks, **self.KWARGS)
+        assert pool_sizes == [2, 2]
+
+    @pytest.mark.parametrize("count, sizes", [(3, [3, 3]), (None, [])])
+    def test_default_without_affinity_uses_cpu_count(
+        self, gamma_params, gamma_marks, monkeypatch, pool_sizes, count, sizes
+    ):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        run_table1(gamma_params, gamma_marks, **self.KWARGS)
+        assert pool_sizes == sizes
+
+    def test_pool_capped_at_task_count(self, gamma_params, gamma_marks, pool_sizes):
+        run_table1(gamma_params, gamma_marks, n_list=(300,), runs=2, jobs=10_000)
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("jobs", [0, -1, 2.0, True, "2"])
+    def test_explicit_jobs_checked(self, gamma_params, gamma_marks, jobs):
+        with pytest.raises(InvalidParameterError, match="jobs must be an integer"):
+            run_table1(gamma_params, gamma_marks, n_list=(300,), runs=2, jobs=jobs)
 
 
 class TestLowerBoundAudit:

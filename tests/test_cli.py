@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shotdeconv import cli
+from shotdeconv.bench import McReport
 from shotdeconv.errors import NumericalFailure
 from shotdeconv.estimator import EstimatorConfig
 from shotdeconv.model import _BLOCK, Exponential, ModelParams, normalize
@@ -257,6 +258,17 @@ class TestEstimate:
         assert cli.main(["estimate", "--config", str(config), "--out", str(est_b)]) == 0
         assert (est_a / "estimate.csv").read_bytes() == (est_b / "estimate.csv").read_bytes()
 
+    def test_too_fine_bin_width_exits_3(self, tmp_path, capsys):
+        # about 5.3e5 bins: the chirp-z rounding misses phi(0) = 1 by more
+        # than 1e-9, which is a numerical failure, not an input error
+        config = _gamma_config(tmp_path)
+        code = cli.main(["estimate", "--config", str(config), "--n", "100000", "--seed", "1",
+                         "--bin-width", "3e-5", "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.search(r"over \d+ bins .*; increase bin_width", err), err
+        assert not (tmp_path / "o" / "estimate.csv").exists()
+
     def test_truncated_f64le_exits_2(self, tmp_path, capsys):
         config = _gamma_config(tmp_path)
         bad = tmp_path / "bad.f64le"
@@ -471,6 +483,21 @@ class TestBench:
         assert hashlib.sha256(data).hexdigest() == (
             "936f64dbf2c6f31dfa7eb860c2b55924a8a76ce3d123401c20389fec9a1e3f89"
         )
+
+    def test_jobs_default_forwarded_unresolved(self, tmp_path, monkeypatch):
+        # the library resolves None to the CPUs this process may use
+        assert cli.build_parser().parse_args(["bench", "--table1"]).jobs is None
+        seen = {}
+
+        def fake_run_table1(params, marks, **kwargs):
+            seen.update(kwargs)
+            return [McReport(10, (0.1, 0.2), {}, 0.0)]
+
+        monkeypatch.setattr(cli, "run_table1", fake_run_table1)
+        config = _gamma_config(tmp_path)
+        assert cli.main(["bench", "--config", str(config), "--table1",
+                         "--out", str(tmp_path / "o")]) == 0
+        assert "jobs" in seen and seen["jobs"] is None
 
     def test_audit_passes_for_exponential_marks(self, tmp_path, capsys):
         config = _gamma_config(

@@ -25,6 +25,7 @@ from shotdeconv.estimator import (
     theorem_cutoff,
     theorem_threshold,
 )
+from shotdeconv.model import Exponential, ModelParams
 from shotdeconv.simulate import simulate_series
 
 # Frozen tuning-formula oracles (independent exp/log evaluation).
@@ -438,6 +439,28 @@ class TestEstimateProperty:
         try:
             estimate = estimate_density(np.asarray(values, dtype=float), config)
         except (InvalidParameterError, ResourceLimitError, NumericalFailure) as exc:
+            assert not re.search(_ECF_INVARIANT, str(exc)), str(exc)
+        else:
+            assert np.all(np.isfinite(estimate.theta_hat))
+
+
+_GAMMA_SAMPLE = simulate_series(ModelParams(2.0, 1.0, 2.0), Exponential(1.0), 10_000, seed=5).values
+
+
+class TestFineBinWidthProperty:
+    """At fine bin widths the ECF either holds its exact values or names the remedy."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(bins=st.integers(2**12, 2**21), nyquist_fraction=st.floats(0.01, 0.99))
+    @example(bins=2**20, nyquist_fraction=0.5)
+    def test_estimate_or_increase_bin_width(self, bins, nyquist_fraction):
+        width = float(np.ptp(_GAMMA_SAMPLE)) / bins
+        cutoff = nyquist_fraction * math.pi / width
+        config = EstimatorConfig(ratio=2.0, cutoff=cutoff, bin_width=width)
+        try:
+            estimate = estimate_density(_GAMMA_SAMPLE, config)
+        except (InvalidParameterError, ResourceLimitError, NumericalFailure) as exc:
+            assert "increase bin_width" in str(exc), str(exc)
             assert not re.search(_ECF_INVARIANT, str(exc)), str(exc)
         else:
             assert np.all(np.isfinite(estimate.theta_hat))
