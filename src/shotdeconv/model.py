@@ -274,11 +274,13 @@ class SmoothnessConfig:
         object.__setattr__(self, "m", _check_number(self.m, "m", gt=0))
 
 
-# relative tolerance of the CF oracle's quadrature (`true_shot_cf`)
+# relative tolerance of the CF oracle's quadrature (`true_shot_cf`), and the
+# log2 of its most subintervals
 _REL_TOL = 1e-8
+_MAX_DEPTH = 60
 
 
-def true_shot_cf(params, marks, u, _max_depth=60):
+def true_shot_cf(params, marks, u):
     """Characteristic function of the stationary sampled shot noise.
 
     Evaluates ``exp(ratio * I(u))`` where ``I(u)`` is the integral from 0 to
@@ -309,7 +311,7 @@ def true_shot_cf(params, marks, u, _max_depth=60):
     Raises
     ------
     NumericalFailure
-        If the quadrature does not converge within ``2**_max_depth``
+        If the quadrature does not converge within ``2**_MAX_DEPTH``
         subintervals. The best available value is attached as ``partial``.
     """
     u_arr = np.asarray(u, dtype=float)
@@ -324,7 +326,7 @@ def true_shot_cf(params, marks, u, _max_depth=60):
         return (marks.cf(t * u_abs) - 1.0) / t
 
     log_phi, _, info = integrate.quad_vec(
-        integrand, 0.0, 1.0, epsrel=_REL_TOL, norm="max", limit=2**_max_depth, full_output=True
+        integrand, 0.0, 1.0, epsrel=_REL_TOL, norm="max", limit=2**_MAX_DEPTH, full_output=True
     )
     phi = np.exp(params.ratio * log_phi)
     phi[u_abs == 0.0] = 1.0 + 0.0j
@@ -333,7 +335,7 @@ def true_shot_cf(params, marks, u, _max_depth=60):
     result = complex(phi[0]) if u_arr.ndim == 0 else phi.reshape(u_arr.shape)
     if not info.success:
         raise NumericalFailure(
-            f"quadrature did not converge within {2**_max_depth} subintervals",
+            f"quadrature did not converge within {2**_MAX_DEPTH} subintervals",
             partial=result,
         )
     return result

@@ -33,6 +33,11 @@ __all__ = [
 # under double-precision resolution of any accumulated observation.
 _AGE_CUTOFF = 40.0
 
+# Models with fewer thinned pulses per interval than this are sampled by
+# pulse position, in chunks of _POSITION_CHUNK intervals (see `_innovations`).
+_POSITION_BELOW = 16.0
+_POSITION_CHUNK = 4096
+
 _SEED_MAX = 2**64
 
 
@@ -111,39 +116,79 @@ def _innovations(params, marks, count, rng):
 
     Pulses whose age exceeds 40/alpha_norm are not generated at all: their
     contribution is below exp(-40), beneath double-precision resolution of
-    the running sum. This thins the per-interval Poisson count from
-    lambda_norm to lambda_norm * min(1, 40/alpha_norm) with ages uniform on
-    the surviving range, leaving the innovation law unchanged to within
-    that floor.
+    the running sum. This thins the pulses per interval from lambda_norm to
+    ``lam_eff = lambda_norm * cap``, ``cap = min(1, 40/alpha_norm)``, with
+    ages uniform on the surviving range, leaving the innovation law
+    unchanged to within that floor.
 
-    The random stream is fixed by this order of draws. The intervals are cut
-    into chunks of ``max(1, int(8e6 / max(lam_eff, 1)))``, with ``lam_eff``
-    the thinned count above; per chunk, in this order, come the Poisson
-    counts of all its intervals, then the marks of all its pulses
-    (``marks.sample``), then their uniform ages. Changing the chunk size,
-    this order, any draw's size, or the float operations that turn the draws
-    into innovations changes every seeded series, and must be announced as
-    a stream change.
+    The random stream is fixed by the rules below, one for each of two
+    regimes. Changing the threshold, a chunk size, the order or size of any
+    draw, or the float operations that turn the draws into innovations
+    changes every seeded series of that regime, and must be announced as a
+    stream change.
 
-    The per-pulse arithmetic runs in blocks of about ``_BLOCK`` pulses, of
-    ``max(1, int(_BLOCK / max(lam_eff, 1)))`` intervals each, cut only at
-    interval boundaries: per block come its uniform ages, their
-    ``exp(-alpha_norm * (U * cap))`` factors multiplied into its marks, and
-    the per-interval sums. A draw split into consecutive calls of the same
-    generator method returns the same values as one call of the summed
-    size, and ``bincount`` adds each interval's pulses in order from 0.0,
-    so the block size does not change the output; it is not part of the
-    stream.
+    Below ``lam_eff = 16`` the pulses are drawn by position: a Poisson
+    process is a Poisson total with independent uniform positions. The
+    intervals are cut into chunks of exactly 4096, the last one drawn at
+    full length and its surplus cut off; per chunk, in this order, come
+    ``total = rng.poisson(lam_eff * 4096)``, ``U = rng.random(total)`` and
+    ``marks.sample(rng, total)``. With ``t = 4096 * U`` a pulse belongs to
+    interval ``floor(t)`` and is scaled by
+    ``exp((floor(t) + 1 - t) * (-alpha_norm * cap))``, worked as
+    ``(float(floor(t)) + 1.0) - t`` times the Python float
+    ``-alpha_norm * cap``; one ``bincount`` adds each interval's pulses in
+    draw order from 0.0. Each chunk's draws depend only on the chunks
+    before it, so the series at `n` is a prefix of the series at any
+    larger `n` (same seed and burn-in).
+
+    From ``lam_eff = 16`` up, the intervals are cut into chunks of
+    ``max(1, int(8e6 / lam_eff))``; per chunk, in this order, come the
+    Poisson counts of all its intervals, then the marks of all its pulses
+    (``marks.sample``), then their uniform ages. The per-pulse arithmetic
+    runs in blocks of about ``_BLOCK`` pulses, of ``max(1, int(_BLOCK /
+    lam_eff))`` intervals each, cut only at interval boundaries: per block
+    come its uniform ages, their ``exp(-alpha_norm * (U * cap))`` factors
+    multiplied into its marks, and the per-interval sums. A draw split into
+    consecutive calls of the same generator method returns the same values
+    as one call of the summed size, and ``bincount`` adds each interval's
+    pulses in order from 0.0, so the block size does not change the output;
+    it is not part of the stream.
     """
     cap = min(1.0, _AGE_CUTOFF / params.alpha_norm)
     lam_eff = params.lambda_norm * cap
-    out = np.zeros(count)
     if lam_eff == 0.0:
-        return out
+        return np.zeros(count)
+    if lam_eff < _POSITION_BELOW:
+        return _innovations_by_position(params, marks, count, rng, cap, lam_eff)
+    return _innovations_by_interval(params, marks, count, rng, cap, lam_eff)
+
+
+def _innovations_by_position(params, marks, count, rng, cap, lam_eff):
+    size = _POSITION_CHUNK
+    out = np.empty(-(-count // size) * size)
+    scale = -params.alpha_norm * cap
+    for pos in range(0, count, size):
+        total = int(rng.poisson(lam_eff * size))
+        t = rng.random(total)
+        contrib = marks.sample(rng, total)
+        t *= size
+        owner = t.astype(np.intp)
+        # factor exp(-alpha_norm * cap * (floor(t) + 1 - t)), worked in place
+        ages = owner + 1.0
+        ages -= t
+        ages *= scale
+        np.exp(ages, out=ages)
+        contrib *= ages
+        out[pos : pos + size] = np.bincount(owner, weights=contrib, minlength=size)
+    return out[:count]
+
+
+def _innovations_by_interval(params, marks, count, rng, cap, lam_eff):
+    out = np.zeros(count)
     # chunk so the per-chunk event buffer stays modest
-    chunk = max(1, int(8_000_000 / max(lam_eff, 1.0)))
+    chunk = max(1, int(8_000_000 / lam_eff))
     # intervals per block of the per-pulse arithmetic
-    per_block = max(1, int(_BLOCK / max(lam_eff, 1.0)))
+    per_block = max(1, int(_BLOCK / lam_eff))
     for pos in range(0, count, chunk):
         block = min(chunk, count - pos)
         counts = rng.poisson(lam_eff, size=block)

@@ -371,12 +371,12 @@ class TestSimulateOutputPinning:
         [
             (
                 "gamma", "csv",
-                "8058f8285c91e10b87e2fa461d948122a948f0275b17a6f8deb5cf3e4e2774f7",
+                "bd32d55e6b36a1565a78a3f6932cc197eb77d5f708d172f893f485f699b2d3d2",
                 "5e4d19d4056d33639a7de71b0a5e447a0ff9faed79343b177dfc04f03daa96c1",
             ),
             (
                 "gamma", "f64le",
-                "101a250be987fcf39385b7afacfb6358b64fc690443962ddb7760f168e93e50d",
+                "cd8cf1841b254111e455f94af3b41c65351fc103820e27aae02b743f952f8548",
                 "541e10117ef16e68cd3f8f7e9a53b0ccd322e91a95b420ce1be41b1b677745bb",
             ),
             (
@@ -471,7 +471,7 @@ class TestBench:
 
     def test_rate_runs_the_error_table(self, tmp_path, capsys):
         # the error table at n = 1e3, 1e4, 1e5; digest recorded with numpy 2.4
-        # and scipy 1.17 on x86-64, when the CLI still passed those sizes in
+        # and scipy 1.17 on x86-64 on the pulse-position stream of light models
         config = _gamma_config(tmp_path)
         out = tmp_path / "o"
         code = cli.main(["bench", "--config", str(config), "--rate", "--runs", "2",
@@ -481,7 +481,7 @@ class TestBench:
         data = (out / "rate.json").read_bytes()
         assert json.loads(data)["n"] == [1000, 10000, 100000]
         assert hashlib.sha256(data).hexdigest() == (
-            "936f64dbf2c6f31dfa7eb860c2b55924a8a76ce3d123401c20389fec9a1e3f89"
+            "e08dface6eee2e25baff213b5a6971c2f0cdc1b51624b6bcc9dc4471d206b204"
         )
 
     def test_jobs_default_forwarded_unresolved(self, tmp_path, monkeypatch):
@@ -897,7 +897,8 @@ class TestAuditOutputPinning:
 
     Recorded with numpy 2.4 and scipy 1.17 on x86-64 with AVX-512, before the
     oracle was evaluated on u >= 0 only and mirrored; the mirror must give
-    the same bytes.
+    the same bytes. The exponential digest was recorded again when light
+    models moved to the pulse-position stream.
     """
 
     CONFIGS = {
@@ -905,7 +906,7 @@ class TestAuditOutputPinning:
             {"model": {"lambda": 2.0, "alpha": 1.0, "delta": 1.0},
              "marks": {"type": "exponential", "rate": 1.0},
              "smoothness": {"s": 1.0, "K": 121.0, "L": 0.378, "m": 1.0}},
-            "7b1f27eb42718dbf1b2c09e726eafcf2d9ffd02990f6b8f048912392994fb4df",
+            "985b0e8c1ca725b1871a5a50ee6dc236984a38cce752c527f676c47528951bf4",
         ),
         "reference-mixture": (
             {"model": {"lambda": 100.0, "alpha": 80.0, "delta": 1.0},

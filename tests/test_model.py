@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import sici
 
+from shotdeconv import model
 from shotdeconv.errors import InvalidParameterError, NumericalFailure
 from shotdeconv.model import (
     Exponential,
@@ -339,11 +340,12 @@ class TestTrueShotCf:
         with pytest.raises(InvalidParameterError):
             true_shot_cf(ref_params, ref_marks, float("inf"))
 
-    def test_depth_cap_raises_with_partial(self):
+    def test_depth_cap_raises_with_partial(self, monkeypatch):
         # a fast-oscillating mark CF cannot converge in three subdivision levels
+        monkeypatch.setattr(model, "_MAX_DEPTH", 3)
         params = ModelParams(1.0, 1.0, 1.0)
         with pytest.raises(NumericalFailure) as exc_info:
-            true_shot_cf(params, PointMass(200.0), 2.0, _max_depth=3)
+            true_shot_cf(params, PointMass(200.0), 2.0)
         assert isinstance(exc_info.value.partial, complex)
 
 

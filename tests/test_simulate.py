@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from shotdeconv.errors import InvalidParameterError
 from shotdeconv.model import Exponential, GaussianMixture, ModelParams, PointMass
 from shotdeconv.simulate import (
     SampleSeries,
+    _innovations,
+    _innovations_by_interval,
+    _innovations_by_position,
     default_burn_in,
     derive_seed,
     sample_innovation,
@@ -143,6 +147,74 @@ class TestSimulateSeries:
         assert series.burn_in == 5
 
 
+_TWO_MODES = GaussianMixture((0.4, 0.6), (1.0, 5.0), (0.5, 1.0))
+
+
+class TestPositionSampler:
+    """Innovations of light models, drawn by pulse position in chunks."""
+
+    @pytest.mark.parametrize(
+        "case, lam, marks",
+        [
+            (1, 0.5, Exponential(1.0)),
+            (2, 2.0, Exponential(1.0)),
+            (3, 5.0, Exponential(1.0)),
+            (4, 0.5, _TWO_MODES),
+            (5, 2.0, _TWO_MODES),
+            (6, 5.0, _TWO_MODES),
+        ],
+        ids=["exp-0.5", "exp-2", "exp-5", "mixture-0.5", "mixture-2", "mixture-5"],
+    )
+    def test_matches_exact_innovation_law(self, case, lam, marks):
+        # alpha = 2 keeps every pulse (cap = 1), so both samplers draw the
+        # same law, including the atom at 0 of an interval without pulses;
+        # each case has streams of its own, so the six tests are independent
+        params = ModelParams(lam, 2.0, lam / 2.0)
+        fast = _innovations(params, marks, 10_000, np.random.default_rng([case, 0]))
+        rng = np.random.default_rng([case, 1])
+        exact = [sample_innovation(params, marks, rng) for _ in range(10_000)]
+        assert ks_2samp(fast, exact).pvalue > 0.001
+
+    def test_thinned_mean(self):
+        # alpha = 80 keeps the pulses of the last half interval (cap = 0.5);
+        # the thinned law has an exact zero where the full law has none, so
+        # compare the mean, E[W] = lam_eff E[Y] (1 - e^(-alpha cap)) / (alpha cap)
+        params = ModelParams(1.0, 80.0, 0.0125)
+        cap = 0.5
+        lam_eff = params.lambda_norm * cap
+        draws = _innovations(params, Exponential(1.0), 200_000, np.random.default_rng(23))
+        mean = lam_eff * (1.0 - math.exp(-80.0 * cap)) / (80.0 * cap)
+        se = draws.std() / math.sqrt(draws.size)
+        assert abs(draws.mean() - mean) < 4.0 * se
+
+    def test_point_mass(self):
+        # a point mass draws nothing, so doubling it leaves the stream as it
+        # is and doubles every innovation exactly
+        params = ModelParams(2.0, 1.0, 2.0)
+        one = _innovations(params, PointMass(1.0), 10_000, np.random.default_rng(24))
+        two = _innovations(params, PointMass(2.0), 10_000, np.random.default_rng(24))
+        assert np.array_equal(two, 2.0 * one)
+        assert one.min() >= 0.0
+        assert one.mean() == pytest.approx(2.0 * (1.0 - math.exp(-1.0)), rel=0.03)
+
+    @pytest.mark.parametrize(
+        "lam, sampler",
+        [(15.5, _innovations_by_position), (16.0, _innovations_by_interval)],
+        ids=["below", "at"],
+    )
+    def test_threshold(self, lam, sampler):
+        params = ModelParams(lam, 1.0, lam)
+        got = _innovations(params, Exponential(1.0), 5_000, np.random.default_rng(26))
+        want = sampler(params, Exponential(1.0), 5_000, np.random.default_rng(26), 1.0, lam)
+        assert np.array_equal(got, want)
+
+    def test_prefix_stable(self):
+        params = ModelParams(2.0, 1.0, 2.0)
+        short = simulate_series(params, Exponential(1.0), 5_000, seed=25)
+        long = simulate_series(params, Exponential(1.0), 50_000, seed=25)
+        assert np.array_equal(short.values, long.values[:5_000])
+
+
 def _sha256(values):
     return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
@@ -176,13 +248,13 @@ class TestStreamPinning:
                 ModelParams(2.0, 1.0, 2.0),
                 Exponential(1.0),
                 7,
-                "f48b94915fbead7a7ece068b7a773c21f3d314ad9c0d310084a64da3d7538c7d",
+                "2bd472a21082bff050007ef5d806bc345b8aef3f74c10042ecdfb28421eb22ad",
             ),
             (
                 ModelParams(5.0, 2.0, 2.5),
                 _ZERO_WEIGHT_MARKS,
                 11,
-                "6019bb357f9632b788bae5f70390451b62da0c627489415d027ee736d5453e85",
+                "e2ccf127f1fd53e65b063e34dd5f29ffa91a1e73de9fc5b959688c00e71c7109",
             ),
         ],
         ids=["reference-mixture", "gamma", "zero-weight-mixture"],
@@ -219,12 +291,14 @@ class TestStreamPinning:
 class TestBlockBoundaryPinning:
     """Digests of seeded outputs that cross the simulator's internal boundaries.
 
-    The simulator works in outer chunks of intervals and, inside each
-    chunk, in cache-sized blocks of pulses; the mixture sampler works in
-    blocks of marks. These cases span several chunks and blocks, end on a
-    ragged block, hold blocks without pulses, or make every block one
-    interval, so a change in how the work is cut that moves any draw or any
-    float result changes their bytes. Recorded like `TestStreamPinning`.
+    The simulator works in outer chunks of intervals: for heavy models,
+    inside each chunk, in cache-sized blocks of pulses, and for light models
+    in fixed chunks of 4096 intervals drawn by pulse position; the mixture
+    sampler works in blocks of marks. These cases span several chunks and
+    blocks, end on a ragged block or a cut-off chunk, hold chunks without
+    pulses, or make every block one interval, so a change in how the work
+    is cut that moves any draw or any float result changes their bytes.
+    Recorded like `TestStreamPinning`.
     """
 
     @pytest.mark.parametrize(
@@ -240,13 +314,14 @@ class TestBlockBoundaryPinning:
                 "37731ba856564a6a701695134ad4c1327fbf1b77827cfa7ad4bc3c5a6a4179e6",
             ),
             (
-                # about 3 pulses in 300064 intervals: most blocks hold none
+                # about 3 pulses in 300064 intervals, drawn by position in 74
+                # chunks of 4096 (the last cut off): most chunks draw none
                 ModelParams(1e-5, 1.0, 1e-5),
                 Exponential(1.0),
                 300_000,
                 None,
                 13,
-                "7539a1fc820924367ecbe62fc9eb673ebf10225d5d1704cfbcae556701c29730",
+                "0d798b8ab1cfce710781540a272d8373a68e7553ad2ed6103253ba0a157c58f2",
             ),
             (
                 # 80000 pulses per interval: every block is one interval
