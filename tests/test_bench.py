@@ -22,6 +22,7 @@ from shotdeconv.bench import (
 from shotdeconv.errors import InvalidParameterError
 from shotdeconv.estimator import DensityEstimate
 from shotdeconv.model import Exponential, SmoothnessConfig
+from shotdeconv.serialize import dumps_json
 
 
 def _mk_estimate(x, theta):
@@ -298,3 +299,32 @@ class TestReportWriters:
         assert obj[0]["mean_sup_error"] == pytest.approx(0.375)
         assert obj[0]["per_run_errors"] == [0.25, 0.5]
         assert "wall_time_seconds" in obj[0]
+
+    def test_json_text_golden(self):
+        # table1.json's layout: key order, nesting and number formatting
+        snapshot = {"params": {"ratio": 1.25}, "estimator": {"cutoff": 2.0, "C": "adaptive"}}
+        report = McReport(1000, (0.25, 0.5), snapshot, 1.5)
+        assert dumps_json(reports_to_json_obj([report])) == (
+            '[\n'
+            '  {\n'
+            '    "n": 1000,\n'
+            '    "runs": 2,\n'
+            '    "mean_sup_error": 0.375,\n'
+            '    "variance_sup_error": 0.03125,\n'
+            '    "per_run_errors": [\n'
+            '      0.25,\n'
+            '      0.5\n'
+            '    ],\n'
+            '    "config_snapshot": {\n'
+            '      "params": {\n'
+            '        "ratio": 1.25\n'
+            '      },\n'
+            '      "estimator": {\n'
+            '        "cutoff": 2,\n'
+            '        "C": "adaptive"\n'
+            '      }\n'
+            '    },\n'
+            '    "wall_time_seconds": 1.5\n'
+            '  }\n'
+            ']\n'
+        )

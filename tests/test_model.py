@@ -24,6 +24,7 @@ from shotdeconv.model import (
     normalize,
     true_shot_cf,
 )
+from shotdeconv.serialize import dumps_json
 
 # Frozen oracle values, computed by independent quadrature / closed forms
 # before the tests were written.
@@ -429,6 +430,35 @@ class TestJsonSerde:
     def test_point_mass_round_trip(self):
         marks = PointMass(7.0)
         assert marks_from_json(marks_to_json(marks)) == marks
+
+    @pytest.mark.parametrize(
+        "marks, text",
+        [
+            (
+                GaussianMixture((0.25, 0.75), (1.0, -2.5), (0.5, 2.0)),
+                '{\n'
+                '  "type": "gaussian_mixture",\n'
+                '  "weights": [\n'
+                '    0.25,\n'
+                '    0.75\n'
+                '  ],\n'
+                '  "means": [\n'
+                '    1,\n'
+                '    -2.5\n'
+                '  ],\n'
+                '  "sds": [\n'
+                '    0.5,\n'
+                '    2\n'
+                '  ]\n'
+                '}\n',
+            ),
+            (Exponential(2.5), '{\n  "type": "exponential",\n  "rate": 2.5\n}\n'),
+            (PointMass(7.0), '{\n  "type": "point_mass",\n  "value": 7\n}\n'),
+        ],
+        ids=["gaussian_mixture", "exponential", "point_mass"],
+    )
+    def test_json_text_golden(self, marks, text):
+        assert dumps_json(marks_to_json(marks)) == text
 
     def test_unknown_type_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown marks type"):
