@@ -12,7 +12,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -122,16 +122,16 @@ class McReport:
 
     ``runs``, ``mean_sup_error`` and ``variance_sup_error`` (the unbiased
     sample variance) are derived from ``per_run_errors``, which needs at
-    least two entries.
+    least two entries. The fields are declared in ``table1.json`` order.
     """
 
     n: int
-    per_run_errors: tuple
-    config_snapshot: dict
-    wall_time_seconds: float
     runs: int = field(init=False)
     mean_sup_error: float = field(init=False)
     variance_sup_error: float = field(init=False)
+    per_run_errors: tuple
+    config_snapshot: dict
+    wall_time_seconds: float
 
     def __post_init__(self):
         errors = tuple(float(e) for e in self.per_run_errors)
@@ -220,11 +220,7 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
         errors = _run_tasks(tasks, jobs)
         elapsed = time.perf_counter() - start
         snapshot = {
-            "params": {
-                "lambda_norm": params.lambda_norm,
-                "alpha_norm": params.alpha_norm,
-                "ratio": params.ratio,
-            },
+            "params": asdict(params),
             "marks": marks_to_json(marks),
             "base_seed": base_seed,
             "estimator": {
@@ -234,11 +230,7 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
                 "bin_width": "auto",
                 "renormalize": config.renormalize,
             },
-            "x_grid": {
-                "start": _TABLE_X_GRID.start,
-                "step": _TABLE_X_GRID.step,
-                "count": _TABLE_X_GRID.count,
-            },
+            "x_grid": asdict(_TABLE_X_GRID),
         }
         reports.append(McReport(n, tuple(errors), snapshot, elapsed))
     return reports
@@ -380,17 +372,4 @@ def reports_to_json_obj(reports):
     Wall time varies between identical reruns, so golden-file comparisons
     should use the CSV exports, which omit it.
     """
-    out = []
-    for r in reports:
-        out.append(
-            {
-                "n": r.n,
-                "runs": r.runs,
-                "mean_sup_error": r.mean_sup_error,
-                "variance_sup_error": r.variance_sup_error,
-                "per_run_errors": list(r.per_run_errors),
-                "config_snapshot": r.config_snapshot,
-                "wall_time_seconds": r.wall_time_seconds,
-            }
-        )
-    return out
+    return [asdict(r) for r in reports]

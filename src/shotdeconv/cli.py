@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
@@ -42,9 +43,10 @@ from .serialize import dumps_json, format_float, write_text
 from .simulate import series_to_csv, series_to_f64le, simulate_series
 
 _MODEL_KEYS = {"lambda", "alpha", "delta"}
-_ESTIMATOR_KEYS = {"cutoff", "bin_width", "x_grid", "renormalize"}
-_X_GRID_KEYS = {"start", "step", "count"}
-_SMOOTHNESS_KEYS = {"s", "K", "L", "m"}
+# the ratio comes from the model section, never from the estimator's
+_ESTIMATOR_KEYS = {f.name for f in fields(EstimatorConfig)} - {"ratio"}
+_X_GRID_KEYS = {f.name for f in fields(XGrid)}
+_SMOOTHNESS_KEYS = {f.name for f in fields(SmoothnessConfig)}
 _OUTPUT_KEYS = {"dir"}
 _TOP_KEYS = {"model", "marks", "estimator", "smoothness", "seed", "n", "output"}
 
@@ -113,7 +115,7 @@ def _resolve_x_grid(section):
     if grid is None:
         return None
     _check_keys(grid, _X_GRID_KEYS, "config.estimator.x_grid", required=_X_GRID_KEYS)
-    return XGrid(grid["start"], grid["step"], grid["count"])
+    return XGrid(**grid)
 
 
 def _resolve_estimator_config(raw, args, params):
@@ -132,7 +134,7 @@ def _resolve_estimator_config(raw, args, params):
 
 
 def _read_series_file(path):
-    if path.endswith(".f64le") or path.endswith(".bin"):
+    if path.endswith(".f64le"):
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
@@ -234,7 +236,7 @@ def _cmd_bench(args):
         _fail("--audit needs a 'smoothness' section in the config")
     sm = raw["smoothness"]
     _check_keys(sm, _SMOOTHNESS_KEYS, "config.smoothness", required=_SMOOTHNESS_KEYS)
-    smoothness = SmoothnessConfig(sm["s"], sm["K"], sm["L"], sm["m"])
+    smoothness = SmoothnessConfig(**sm)
     report = run_lower_bound_audit(params, marks, smoothness, seed=base_seed)
     write_text(os.path.join(out, "audit.json"), dumps_json(report))
     print(f"audit {'passed' if report['passed'] else 'FAILED'}: min_slack={format_float(report['min_slack'])}")

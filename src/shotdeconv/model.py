@@ -11,7 +11,7 @@ quadrature oracle for the characteristic function of the sampled process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy import integrate
@@ -449,37 +449,38 @@ def _check_keys(obj, allowed, where, required=()):
         raise InvalidParameterError(f"missing fields {missing} in {where}")
 
 
+# the JSON "type" name of each mark law
+_MARK_TYPES = {
+    "gaussian_mixture": GaussianMixture,
+    "exponential": Exponential,
+    "point_mass": PointMass,
+}
+
+
 def marks_to_json(marks):
-    """JSON-compatible dict for a mark law."""
-    if isinstance(marks, GaussianMixture):
-        return {
-            "type": "gaussian_mixture",
-            "weights": list(marks.weights),
-            "means": list(marks.means),
-            "sds": list(marks.sds),
-        }
-    if isinstance(marks, Exponential):
-        return {"type": "exponential", "rate": marks.rate}
-    if isinstance(marks, PointMass):
-        return {"type": "point_mass", "value": marks.value}
+    """JSON-compatible dict for a mark law: its type name, then its fields."""
+    for kind, cls in _MARK_TYPES.items():
+        if type(marks) is cls:
+            return {"type": kind, **asdict(marks)}
     raise InvalidParameterError(f"unsupported mark distribution {type(marks).__name__}")
 
 
 def marks_from_json(obj):
-    """Parse a mark law from its JSON dict; unknown fields are rejected."""
+    """Mark law from its JSON type name and exactly its fields: arrays for tuples, else numbers."""
     if not isinstance(obj, dict):
         raise InvalidParameterError(f"marks must be an object, got {type(obj).__name__}")
     kind = obj.get("type")
-    if kind == "gaussian_mixture":
-        _check_keys(obj, {"type", "weights", "means", "sds"}, "marks")
-        for key in ("weights", "means", "sds"):
-            if key not in obj or not isinstance(obj[key], (list, tuple)):
-                raise InvalidParameterError(f"marks.{key} must be an array")
-        return GaussianMixture(tuple(obj["weights"]), tuple(obj["means"]), tuple(obj["sds"]))
-    if kind == "exponential":
-        _check_keys(obj, {"type", "rate"}, "marks", required=("rate",))
-        return Exponential(_check_number(obj["rate"], "marks.rate"))
-    if kind == "point_mass":
-        _check_keys(obj, {"type", "value"}, "marks", required=("value",))
-        return PointMass(_check_number(obj["value"], "marks.value"))
-    raise InvalidParameterError(f"unknown marks type {kind!r}")
+    cls = _MARK_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InvalidParameterError(f"unknown marks type {kind!r}")
+    names = [f.name for f in fields(cls)]
+    _check_keys(obj, {"type", *names}, "marks", required=names)
+    values = {}
+    for f in fields(cls):
+        value = obj[f.name]
+        if f.type != "tuple":
+            value = _check_number(value, f"marks.{f.name}")
+        elif not isinstance(value, (list, tuple)):
+            raise InvalidParameterError(f"marks.{f.name} must be an array")
+        values[f.name] = value
+    return cls(**values)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import _check_count, checked_sample
+from .errors import ResourceLimitError, _check_count, checked_sample
 from .model import _BLOCK
 from .serialize import csv_text
 
@@ -37,6 +37,10 @@ _AGE_CUTOFF = 40.0
 # pulse position, in chunks of _POSITION_CHUNK intervals (see `_innovations`).
 _POSITION_BELOW = 16.0
 _POSITION_CHUNK = 4096
+
+# hard cap on the intervals one series simulates, burn-in included; the
+# same figure as the histogram's bin cap and the chirp-z FFT cap
+_INTERVAL_CAP = 2**28
 
 _SEED_MAX = 2**64
 
@@ -233,11 +237,22 @@ def simulate_series(params, marks, n, burn_in=None, seed=0):
     Returns
     -------
     SampleSeries
+
+    Raises
+    ------
+    ResourceLimitError
+        When ``n + burn_in`` exceeds 2^28, before anything is allocated.
     """
     n = _check_count(n, "n")
     if burn_in is None:
         burn_in = default_burn_in(params)
     burn_in = _check_count(burn_in, "burn_in", minimum=0)
+    if n + burn_in > _INTERVAL_CAP:
+        raise ResourceLimitError(
+            f"n = {n} observations after a burn-in of {burn_in} steps exceed the cap "
+            f"of {_INTERVAL_CAP} simulated intervals; use a smaller n, or a larger "
+            f"alpha*delta for a shorter burn-in"
+        )
     seed = _check_seed(seed)
     rng = np.random.default_rng(seed)
     innov = _innovations(params, marks, n + burn_in, rng)

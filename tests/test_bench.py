@@ -297,7 +297,7 @@ class TestReportWriters:
         assert isinstance(obj, list) and len(obj) == 1
         assert obj[0]["n"] == 1000
         assert obj[0]["mean_sup_error"] == pytest.approx(0.375)
-        assert obj[0]["per_run_errors"] == [0.25, 0.5]
+        assert obj[0]["per_run_errors"] == (0.25, 0.5)
         assert "wall_time_seconds" in obj[0]
 
     def test_json_text_golden(self):

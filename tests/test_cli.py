@@ -25,7 +25,7 @@ from shotdeconv.bench import McReport
 from shotdeconv.errors import NumericalFailure
 from shotdeconv.estimator import EstimatorConfig
 from shotdeconv.model import _BLOCK, Exponential, ModelParams, normalize
-from shotdeconv.simulate import simulate_series
+from shotdeconv.simulate import default_burn_in, simulate_series
 
 
 def _gamma_config(tmp_path, name="config.json", **overrides):
@@ -219,6 +219,25 @@ class TestSimulate:
             cli.main(argv + (["0.02"] if flag == "--grid-step" else []))
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "alpha, n",
+        [(1.0, 10_000_000_000), (1e-300, 10)],
+        ids=["huge-n", "huge-burn-in"],
+    )
+    def test_oversized_simulation_exits_2(self, tmp_path, capsys, alpha, n):
+        # refused before anything of that size is allocated
+        config = _gamma_config(tmp_path, model={"lambda": 2.0, "alpha": alpha, "delta": 1.0})
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out),
+                         "--n", str(n)]) == 2
+        burn_in = default_burn_in(normalize(2.0, alpha, 1.0))
+        assert capsys.readouterr().err == (
+            f"error: n = {n} observations after a burn-in of {burn_in} steps exceed the "
+            f"cap of {2**28} simulated intervals; use a smaller n, or a larger alpha*delta "
+            f"for a shorter burn-in\n"
+        )
+        assert not (out / "series.csv").exists()
 
     def test_output_dir_from_config(self, tmp_path):
         target = tmp_path / "cfg_out"
@@ -871,6 +890,14 @@ class TestSeriesReader:
             f"error: {path} holds a non-finite value (NaN or infinity) "
             f"at series position {position}\n"
         )
+
+    def test_bin_suffix_is_read_as_csv(self, tmp_path, capsys):
+        # only .f64le names raw float64 input
+        path = tmp_path / "series.bin"
+        path.write_bytes(np.linspace(0.5, 3.0, 100).astype("<f8").tobytes())
+        config = _gamma_config(tmp_path)
+        assert cli.main(["hill", "--config", str(config), "--in", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: could not read series CSV {path}: ")
 
     def test_header_only_csv_is_an_empty_sample(self, tmp_path, capsys):
         # exit 2 naming the file, and no numpy warning (an error here)
