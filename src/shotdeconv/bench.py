@@ -9,9 +9,7 @@ audit) that check the theory empirically rather than reproducing constants.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -28,7 +26,7 @@ from .estimator import (
 )
 from .model import cf_lower_bound, check_smoothness, marks_to_json, true_shot_cf
 from .serialize import csv_text
-from .simulate import derive_seed, simulate_series
+from .simulate import _resolve_jobs, _run_tasks, derive_seed, simulate_series
 
 __all__ = [
     "McReport",
@@ -152,25 +150,6 @@ def _one_table_error(task):
     return sup_error(estimate, marks)
 
 
-def _resolve_jobs(jobs):
-    """Worker processes for `jobs`; None means every CPU this process may use."""
-    if jobs is not None:
-        return _check_count(jobs, "jobs")
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_tasks(tasks, jobs):
-    # under fork a pool starts all its workers at its first task, so it gets
-    # no more workers than tasks
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
-        return [_one_table_error(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_one_table_error, tasks, chunksize=1))
-
-
 def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
                base_seed=2024, jobs=None):
     """Monte-Carlo sup-error table over sample sizes.
@@ -217,7 +196,7 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
             for run in range(runs)
         ]
         start = time.perf_counter()
-        errors = _run_tasks(tasks, jobs)
+        errors = _run_tasks(_one_table_error, tasks, jobs)
         elapsed = time.perf_counter() - start
         snapshot = {
             "params": asdict(params),

@@ -30,7 +30,7 @@ from .errors import (
     checked_sample,
 )
 from .model import _BLOCK, true_shot_cf
-from .simulate import derive_seed, simulate_series
+from .simulate import _resolve_jobs, _run_tasks, derive_seed, simulate_series
 
 __all__ = [
     "Histogram",
@@ -405,6 +405,18 @@ def _ecf_sup_gap(values, phi_true_half, u_step, half_count):
     return float(np.abs(ecf - phi_true_half).max())
 
 
+def _deviation_run(task):
+    """Worker: one run's sup gaps, one per sample size (picklable, pure)."""
+    params, marks, sizes_and_seeds, phi_true_half = task
+    return [
+        _ecf_sup_gap(
+            simulate_series(params, marks, n, seed=seed).values,
+            phi_true_half, _DEVIATION_U_STEP, _DEVIATION_HALF,
+        )
+        for n, seed in sizes_and_seeds
+    ]
+
+
 def ecf_deviation(params, marks, n_list, runs, base_seed):
     """Monte-Carlo table of sup-norm ECF deviations from the true CF.
 
@@ -418,6 +430,13 @@ def ecf_deviation(params, marks, n_list, runs, base_seed):
     agrees with the defining mean of ``exp(i u x)`` to a few units in the
     last place. The deviation values may therefore change in their last
     bits when the summation order changes; no CSV or JSON output holds them.
+
+    One task is one run: it simulates the run's series at every size (seed
+    ``derive_seed(base_seed, tier, run)``) and reduces each against the
+    oracle CF, which is computed once here. The tasks run on one worker
+    process per CPU this process may use (`run_table1`'s ``jobs=None``
+    rule; one usable CPU runs them inline, with no pool) and come back in
+    run order, so the table does not depend on the number of CPUs.
 
     Parameters
     ----------
@@ -435,18 +454,19 @@ def ecf_deviation(params, marks, n_list, runs, base_seed):
         One entry per n: ``{"n", "mean_sup", "se"}``.
     """
     runs = _check_count(runs, "runs", minimum=2)
+    n_list = [_check_count(n, "n") for n in n_list]
     u_half = np.arange(_DEVIATION_HALF + 1) * _DEVIATION_U_STEP
     phi_true_half = np.asarray(true_shot_cf(params, marks, u_half))
+    tasks = [
+        (params, marks,
+         [(n, derive_seed(base_seed, tier, run)) for tier, n in enumerate(n_list)],
+         phi_true_half)
+        for run in range(runs)
+    ]
+    gaps = _run_tasks(_deviation_run, tasks, _resolve_jobs(None))
     out = []
-    for tier, n in enumerate(n_list):
-        n = _check_count(n, "n")
-        sups = np.empty(runs)
-        for run in range(runs):
-            seed = derive_seed(base_seed, tier, run)
-            series = simulate_series(params, marks, n, seed=seed)
-            sups[run] = _ecf_sup_gap(
-                series.values, phi_true_half, _DEVIATION_U_STEP, _DEVIATION_HALF
-            )
+    for n, column in zip(n_list, zip(*gaps)):
+        sups = np.array(column)
         mean = float(sups.mean())
         se = float(sups.std(ddof=1) / math.sqrt(runs))
         out.append({"n": n, "mean_sup": mean, "se": se})

@@ -10,6 +10,8 @@ so no discretization error enters beyond the burn-in of the initial state.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +75,19 @@ class SampleSeries:
 
 
 def default_burn_in(params):
-    """Burn-in long enough to contract any start value below exp(-40)."""
-    return max(64, math.ceil(_AGE_CUTOFF / params.alpha_norm))
+    """Burn-in long enough to contract any start value below exp(-40).
+
+    Raises ResourceLimitError when 40/alpha_norm overflows to infinity: no
+    such burn-in fits under the cap of 2^28 simulated intervals.
+    """
+    steps = _AGE_CUTOFF / params.alpha_norm
+    if math.isinf(steps):
+        raise ResourceLimitError(
+            f"alpha_norm = {params.alpha_norm:g} needs a burn-in of 40/alpha_norm steps, "
+            f"which overflows and exceeds the cap of {_INTERVAL_CAP} simulated intervals; "
+            f"use a larger alpha*delta for a shorter burn-in"
+        )
+    return max(64, math.ceil(steps))
 
 
 def derive_seed(base_seed, *indices):
@@ -88,6 +101,30 @@ def derive_seed(base_seed, *indices):
     key = tuple(_check_count(i, "stream index", minimum=0) for i in indices)
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _resolve_jobs(jobs):
+    """Worker processes for `jobs`; None means every CPU this process may use."""
+    if jobs is not None:
+        return _check_count(jobs, "jobs")
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_tasks(worker, tasks, jobs):
+    """``[worker(t) for t in tasks]`` on up to `jobs` worker processes.
+
+    The results come back in task order, so they do not depend on `jobs`
+    when `worker` is pure. One worker runs inline, with no pool; under fork
+    a pool starts all its workers at its first task, so it gets no more
+    workers than tasks. Every worker has exited when this returns.
+    """
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [worker(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, tasks, chunksize=1))
 
 
 def sample_innovation(params, marks, rng):

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from shotdeconv import bench
+from shotdeconv import simulate
 from shotdeconv.bench import (
     _CUTOFF_ANCHORS,
     McReport,
@@ -214,7 +214,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks, chunksize):
             return map(fn, tasks)
 
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -228,7 +228,7 @@ class TestJobs:
             raise AssertionError(f"pool of {max_workers} built on one CPU")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
         default = run_table1(gamma_params, gamma_marks, **self.KWARGS)
         inline = run_table1(gamma_params, gamma_marks, jobs=1, **self.KWARGS)
         assert reports_to_csv(default) == reports_to_csv(inline)

@@ -239,6 +239,16 @@ class TestSimulate:
         )
         assert not (out / "series.csv").exists()
 
+    def test_burn_in_beyond_float_range_exits_2(self, tmp_path, capsys):
+        # 40 / alpha_norm overflows; refused with the cap, not a traceback
+        config = _gamma_config(tmp_path, model={"lambda": 0.0, "alpha": 1e-310, "delta": 1.0})
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out),
+                         "--n", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"cap of {2**28} simulated intervals" in err
+        assert not (out / "series.csv").exists()
+
     def test_output_dir_from_config(self, tmp_path):
         target = tmp_path / "cfg_out"
         config = _gamma_config(tmp_path, n=50, output={"dir": str(target)})

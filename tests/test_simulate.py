@@ -1,17 +1,19 @@
 import hashlib
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from shotdeconv.errors import InvalidParameterError
+from shotdeconv.errors import InvalidParameterError, ResourceLimitError
 from shotdeconv.model import Exponential, GaussianMixture, ModelParams, PointMass
 from shotdeconv.simulate import (
     SampleSeries,
     _innovations,
     _innovations_by_interval,
     _innovations_by_position,
+    _run_tasks,
     default_burn_in,
     derive_seed,
     sample_innovation,
@@ -59,6 +61,12 @@ class TestDeriveSeed:
     def test_rejects_bad_base(self):
         with pytest.raises(InvalidParameterError):
             derive_seed(-1, 0)
+
+
+class TestRunTasks:
+    def test_pool_keeps_task_order_and_leaves_no_worker(self):
+        assert _run_tasks(abs, [-3, -1, -2], 2) == [3, 1, 2]
+        assert multiprocessing.active_children() == []
 
 
 class TestSampleInnovation:
@@ -141,6 +149,13 @@ class TestSimulateSeries:
     def test_burn_in_default(self):
         assert default_burn_in(ModelParams(1.0, 80.0, 0.0125)) == 64
         assert default_burn_in(ModelParams(1.0, 0.1, 10.0)) == 400
+
+    def test_burn_in_beyond_float_range_refused(self):
+        # 40 / alpha_norm overflows to inf below alpha_norm ~ 2.2e-307
+        with pytest.raises(ResourceLimitError, match=f"cap of {2**28} simulated intervals"):
+            default_burn_in(ModelParams(0.0, 1e-310, 0.0))
+        with pytest.raises(ResourceLimitError, match="overflows"):
+            simulate_series(ModelParams(0.0, 1e-310, 0.0), Exponential(1.0), 10)
 
     def test_explicit_burn_in_recorded(self, ref_params, ref_marks):
         series = simulate_series(ref_params, ref_marks, 10, burn_in=5, seed=1)
