@@ -33,8 +33,6 @@ def _gamma_config(tmp_path, name="config.json", **overrides):
     base = {
         "model": {"lambda": 2.0, "alpha": 1.0, "delta": 1.0},
         "marks": {"type": "exponential", "rate": 1.0},
-        "seed": 7,
-        "n": 2_000,
         "estimator": {
             "cutoff": 2.0,
             "x_grid": {"start": 0.0, "step": 0.05, "count": 201},
@@ -50,6 +48,11 @@ def _gamma_config(tmp_path, name="config.json", **overrides):
     return path
 
 
+def _run(n=2_000, seed=7):
+    """The flags of a simulated run of `n` values at `seed`."""
+    return ["--n", str(n), "--seed", str(seed)]
+
+
 class TestEntryPoint:
     def test_version_via_module(self):
         proc = subprocess.run(
@@ -60,11 +63,11 @@ class TestEntryPoint:
         assert "shotdeconv" in proc.stdout
 
     def test_simulate_via_module(self, tmp_path):
-        config = _gamma_config(tmp_path, n=200)
+        config = _gamma_config(tmp_path)
         out = tmp_path / "out"
         proc = subprocess.run(
             [sys.executable, "-m", "shotdeconv.cli", "simulate",
-             "--config", str(config), "--out", str(out)],
+             "--config", str(config), "--out", str(out), *_run(200)],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
@@ -74,11 +77,13 @@ class TestEntryPoint:
 
 class TestConfigValidation:
     def test_missing_config_exits_2(self, capsys):
-        assert cli.main(["simulate"]) == 2
-        assert "config" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["simulate", "--n", "10"])
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
 
     def test_nonexistent_config_exits_2(self, tmp_path, capsys):
-        code = cli.main(["simulate", "--config", str(tmp_path / "nope.json")])
+        code = cli.main(["simulate", "--config", str(tmp_path / "nope.json"), "--n", "10"])
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
@@ -94,18 +99,23 @@ class TestConfigValidation:
 
     def test_unknown_estimator_key_exits_2(self, tmp_path, capsys):
         config = _gamma_config(tmp_path, estimator={"cutoff": 2.0, "cutof": 1.0})
-        assert cli.main(["estimate", "--config", str(config)]) == 2
+        assert cli.main(["estimate", "--config", str(config), *_run()]) == 2
         assert "unknown fields" in capsys.readouterr().err
 
     def test_unknown_model_key_exits_2(self, tmp_path, capsys):
         config = _gamma_config(tmp_path, model={"lambda": 2.0, "alpha": 1.0, "delta": 1.0, "mu": 1})
-        assert cli.main(["simulate", "--config", str(config)]) == 2
+        assert cli.main(["simulate", "--config", str(config), "--n", "10"]) == 2
         assert "unknown fields ['mu'] in config.model" in capsys.readouterr().err
+
+    def test_non_object_model_exits_2(self, tmp_path, capsys):
+        config = _gamma_config(tmp_path, model=[1])
+        assert cli.main(["simulate", "--config", str(config), "--n", "10"]) == 2
+        assert capsys.readouterr().err == "error: config.model must be a JSON object, got list\n"
 
     def test_kappa_exponent_is_an_unknown_key(self, tmp_path, capsys):
         # the threshold exponent is the theorem's 2, not a setting
         config = _gamma_config(tmp_path, estimator={"cutoff": 2.0, "kappa_exponent": 2})
-        assert cli.main(["estimate", "--config", str(config)]) == 2
+        assert cli.main(["estimate", "--config", str(config), *_run()]) == 2
         assert "unknown fields ['kappa_exponent'] in config.estimator" in capsys.readouterr().err
 
     @pytest.mark.parametrize("theorem", [False, True])
@@ -115,7 +125,8 @@ class TestConfigValidation:
         # either is refused as an unknown key
         section = {"use_theorem_bandwidth": True} if theorem else {"cutoff": 2.0}
         config = _gamma_config(tmp_path, estimator={**section, "s": s})
-        assert cli.main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert cli.main(["estimate", "--config", str(config), "--out", str(tmp_path / "o"),
+                         *_run()]) == 2
         unknown = ["s", "use_theorem_bandwidth"] if theorem else ["s"]
         assert f"unknown fields {unknown} in config.estimator" in capsys.readouterr().err
 
@@ -138,7 +149,7 @@ class TestConfigValidation:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         argv = [sys.executable, "-m", "shotdeconv.cli", command, "--config", str(path),
-                "--out", str(tmp_path / "o"), *(["--audit"] if command == "bench" else [])]
+                "--out", str(tmp_path / "o"), "--audit" if command == "bench" else "--n=10"]
         errs = []
         for hash_seed in ("0", "2"):
             env = {**os.environ, "PYTHONHASHSEED": hash_seed}
@@ -151,13 +162,19 @@ class TestConfigValidation:
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
-        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert cli.main(["simulate", "--config", str(path), "--n", "10"]) == 2
         assert "valid JSON" in capsys.readouterr().err
 
     def test_missing_n_exits_2(self, tmp_path, capsys):
-        config = _gamma_config(tmp_path, n=None)
-        assert cli.main(["simulate", "--config", str(config)]) == 2
-        assert "sample size" in capsys.readouterr().err
+        config = _gamma_config(tmp_path)
+        for command, message in [
+            ("simulate", "the following arguments are required: --n"),
+            ("estimate", "one of the arguments --in --n is required"),
+        ]:
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main([command, "--config", str(config)])
+            assert excinfo.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_bench_without_mode_flag_is_an_argparse_error(self, tmp_path):
         config = _gamma_config(tmp_path)
@@ -168,26 +185,26 @@ class TestConfigValidation:
 
 class TestSimulate:
     def test_csv_deterministic_across_runs(self, tmp_path):
-        config = _gamma_config(tmp_path, n=300)
+        config = _gamma_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert cli.main(["simulate", "--config", str(config), "--out", str(out_a)]) == 0
-        assert cli.main(["simulate", "--config", str(config), "--out", str(out_b)]) == 0
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out_a), *_run(300)]) == 0
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out_b), *_run(300)]) == 0
         assert (out_a / "series.csv").read_bytes() == (out_b / "series.csv").read_bytes()
         assert (out_a / "series_meta.json").read_bytes() == (out_b / "series_meta.json").read_bytes()
 
     def test_seed_flag_changes_output(self, tmp_path):
-        config = _gamma_config(tmp_path, n=300)
+        config = _gamma_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert cli.main(["simulate", "--config", str(config), "--out", str(out_a)]) == 0
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out_a), *_run(300)]) == 0
         assert cli.main(["simulate", "--config", str(config), "--out", str(out_b),
-                         "--seed", "8"]) == 0
+                         *_run(300, seed=8)]) == 0
         assert (out_a / "series.csv").read_bytes() != (out_b / "series.csv").read_bytes()
 
     def test_f64le_matches_library_values(self, tmp_path):
-        config = _gamma_config(tmp_path, n=250)
+        config = _gamma_config(tmp_path)
         out = tmp_path / "o"
         assert cli.main(["simulate", "--config", str(config), "--out", str(out),
-                         "--format", "f64le"]) == 0
+                         "--format", "f64le", *_run(250)]) == 0
         data = np.frombuffer((out / "series.f64le").read_bytes(), dtype="<f8")
         params = normalize(2.0, 1.0, 1.0)
         expected = simulate_series(params, Exponential(1.0), 250, seed=7).values
@@ -197,24 +214,22 @@ class TestSimulate:
         assert meta["n"] == 250 and meta["seed"] == 7
 
     def test_rejects_unknown_format(self, tmp_path, capsys):
-        config = _gamma_config(tmp_path, n=50)
+        config = _gamma_config(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["simulate", "--config", str(config), "--format", "json"])
+            cli.main(["simulate", "--config", str(config), "--format", "json", *_run(50)])
         assert excinfo.value.code == 2
 
     def test_zero_intensity_gives_zero_series(self, tmp_path):
-        config = _gamma_config(
-            tmp_path, n=100, model={"lambda": 0.0, "alpha": 1.0, "delta": 1.0},
-        )
+        config = _gamma_config(tmp_path, model={"lambda": 0.0, "alpha": 1.0, "delta": 1.0})
         out = tmp_path / "o"
-        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out), *_run(100)]) == 0
         values = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1, usecols=1)
         assert np.all(values == 0.0)
 
     @pytest.mark.parametrize("flag", ["--trace", "--grid-step"])
     def test_trace_flags_are_unrecognized(self, tmp_path, capsys, flag):
-        config = _gamma_config(tmp_path, n=50)
-        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "o"), flag]
+        config = _gamma_config(tmp_path)
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "o"), *_run(50), flag]
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv + (["0.02"] if flag == "--grid-step" else []))
         assert excinfo.value.code == 2
@@ -237,7 +252,7 @@ class TestSimulate:
             f"cap of {2**28} simulated intervals; use a smaller n, or a larger alpha*delta "
             f"for a shorter burn-in\n"
         )
-        assert not (out / "series.csv").exists()
+        assert not out.exists()
 
     def test_burn_in_beyond_float_range_exits_2(self, tmp_path, capsys):
         # 40 / alpha_norm overflows; refused with the cap, not a traceback
@@ -247,20 +262,14 @@ class TestSimulate:
                          "--n", "10"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"cap of {2**28} simulated intervals" in err
-        assert not (out / "series.csv").exists()
-
-    def test_output_dir_from_config(self, tmp_path):
-        target = tmp_path / "cfg_out"
-        config = _gamma_config(tmp_path, n=50, output={"dir": str(target)})
-        assert cli.main(["simulate", "--config", str(config)]) == 0
-        assert (target / "series.csv").exists()
+        assert not out.exists()
 
 
 class TestEstimate:
     def test_writes_estimate_and_diagnostics(self, tmp_path):
         config = _gamma_config(tmp_path)
         out = tmp_path / "o"
-        assert cli.main(["estimate", "--config", str(config), "--out", str(out)]) == 0
+        assert cli.main(["estimate", "--config", str(config), "--out", str(out), *_run()]) == 0
         text = (out / "estimate.csv").read_text()
         assert text.startswith("x,theta_hat\n")
         assert len(text.splitlines()) == 202  # header + 201 grid points
@@ -271,32 +280,32 @@ class TestEstimate:
     def test_in_csv_matches_internal_simulation(self, tmp_path):
         config = _gamma_config(tmp_path)
         sim_out, est_a, est_b = tmp_path / "sim", tmp_path / "ea", tmp_path / "eb"
-        assert cli.main(["simulate", "--config", str(config), "--out", str(sim_out)]) == 0
+        assert cli.main(["simulate", "--config", str(config), "--out", str(sim_out), *_run()]) == 0
         assert cli.main(["estimate", "--config", str(config), "--out", str(est_a),
                          "--in", str(sim_out / "series.csv")]) == 0
-        assert cli.main(["estimate", "--config", str(config), "--out", str(est_b)]) == 0
+        assert cli.main(["estimate", "--config", str(config), "--out", str(est_b), *_run()]) == 0
         assert (est_a / "estimate.csv").read_bytes() == (est_b / "estimate.csv").read_bytes()
 
     def test_in_f64le_matches_internal_simulation(self, tmp_path):
         config = _gamma_config(tmp_path)
         sim_out, est_a, est_b = tmp_path / "sim", tmp_path / "ea", tmp_path / "eb"
         assert cli.main(["simulate", "--config", str(config), "--out", str(sim_out),
-                         "--format", "f64le"]) == 0
+                         "--format", "f64le", *_run()]) == 0
         assert cli.main(["estimate", "--config", str(config), "--out", str(est_a),
                          "--in", str(sim_out / "series.f64le")]) == 0
-        assert cli.main(["estimate", "--config", str(config), "--out", str(est_b)]) == 0
+        assert cli.main(["estimate", "--config", str(config), "--out", str(est_b), *_run()]) == 0
         assert (est_a / "estimate.csv").read_bytes() == (est_b / "estimate.csv").read_bytes()
 
     def test_too_fine_bin_width_exits_3(self, tmp_path, capsys):
         # about 5.3e5 bins: the chirp-z rounding misses phi(0) = 1 by more
         # than 1e-9, which is a numerical failure, not an input error
-        config = _gamma_config(tmp_path)
-        code = cli.main(["estimate", "--config", str(config), "--n", "100000", "--seed", "1",
-                         "--bin-width", "3e-5", "--out", str(tmp_path / "o")])
+        config = _gamma_config(tmp_path, estimator={"cutoff": 2.0, "bin_width": 3e-5})
+        code = cli.main(["estimate", "--config", str(config), *_run(100_000, seed=1),
+                         "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
         assert re.search(r"over \d+ bins .*; increase bin_width", err), err
-        assert not (tmp_path / "o" / "estimate.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_truncated_f64le_exits_2(self, tmp_path, capsys):
         config = _gamma_config(tmp_path)
@@ -307,15 +316,20 @@ class TestEstimate:
         assert "float64" in capsys.readouterr().err
 
     def test_missing_cutoff_exits_2(self, tmp_path, capsys):
+        # checked before the input is read: the missing file is not reached
         config = _gamma_config(tmp_path, estimator={"x_grid": {"start": 0.0, "step": 0.05, "count": 201}})
-        assert cli.main(["estimate", "--config", str(config)]) == 2
-        assert "pass --cutoff or set estimator.cutoff" in capsys.readouterr().err
+        missing = tmp_path / "nope.f64le"
+        assert cli.main(["estimate", "--config", str(config), "--in", str(missing)]) == 2
+        assert capsys.readouterr().err == (
+            "error: estimator cutoff unspecified: set estimator.cutoff in the config\n"
+        )
 
-    @pytest.mark.parametrize("flag", ["--kappa", "--C"])
+    # the cutoff and the bin width are set only as estimator keys of the config
+    @pytest.mark.parametrize("flag", ["--kappa", "--C", "--cutoff", "--bin-width"])
     def test_removed_threshold_flag_exits_2(self, tmp_path, capsys, flag):
         config = _gamma_config(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["estimate", "--config", str(config), flag, "0.5"])
+            cli.main(["estimate", "--config", str(config), *_run(), flag, "0.5"])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
 
@@ -348,7 +362,7 @@ class TestEstimate:
         path = tmp_path / "range.f64le"
         path.write_bytes(np.asarray(values).astype("<f8").tobytes())
         code = cli.main(["estimate", "--config", str(config), "--in", str(path),
-                         "--out", str(tmp_path / "o"), "--cutoff", "2"])
+                         "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
         assert "sample range" in err and "default 4096 bins" in err
@@ -373,15 +387,17 @@ class TestEstimate:
             raise NumericalFailure("forced failure for exit-code test")
 
         monkeypatch.setattr(cli, "estimate_density", boom)
-        code = cli.main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")])
+        code = cli.main(["estimate", "--config", str(config), "--out", str(tmp_path / "o"),
+                         *_run()])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSimulateOutputPinning:
     """Digests of the `shotdeconv simulate` data file and sidecar in both formats.
 
-    One config is the Exponential(1)-mark model of `_gamma_config` at its
+    One config is the Exponential(1)-mark model of `_gamma_config` at
     n = 2000 and seed 7, the other the reference mixture at n = 3000 and
     seed 2024. Recorded with numpy 2.4 and scipy 1.17 on x86-64 with
     AVX-512, package version 0.1.0 (the sidecar names the version). Any
@@ -423,11 +439,11 @@ class TestSimulateOutputPinning:
     )
     def test_digests(self, tmp_path, name, fmt, data_digest, meta_digest):
         if name == "gamma":
-            config, flags = _gamma_config(tmp_path), []
+            config, flags = _gamma_config(tmp_path), _run(2_000, seed=7)
         else:
             config = tmp_path / "reference.json"
             config.write_text(json.dumps(self.REFERENCE), encoding="utf-8")
-            flags = ["--n", "3000", "--seed", "2024"]
+            flags = _run(3_000, seed=2024)
         out = tmp_path / "o"
         assert cli.main(["simulate", "--config", str(config), "--out", str(out),
                          "--format", fmt, *flags]) == 0
@@ -448,40 +464,38 @@ class TestEstimateOutputPinning:
     neutral changes these bytes.
     """
 
+    REFERENCE = TestSimulateOutputPinning.REFERENCE
+
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("pinning")
-        config = {
-            "model": {"lambda": 100.0, "alpha": 80.0, "delta": 1.0},
-            "marks": {"type": "gaussian_mixture", "weights": [0.3, 0.5, 0.2],
-                      "means": [4.0, 12.0, 22.0], "sds": [1.0, 1.0, 0.5]},
-            "estimator": {"cutoff": 0.8},
-        }
-        (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        assert cli.main(["simulate", "--config", str(root / "config.json"), "--n", "50000",
-                         "--seed", "2024", "--format", "f64le", "--out", str(root)]) == 0
+        (root / "config.json").write_text(json.dumps(self.REFERENCE), encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(root / "config.json"),
+                         *_run(50_000, seed=2024), "--format", "f64le", "--out", str(root)]) == 0
         return root
 
     @pytest.mark.parametrize(
-        "flags, estimate_digest, diagnostics_digest",
+        "estimator, estimate_digest, diagnostics_digest",
         [
             (
-                [],
+                {"cutoff": 0.8},
                 "6ed010d36d535f0a80d045c594aaf1e129e2196c90d18484bdcd20e5efae7f93",
                 "6e990c7e24e3474f9ad94c23aa3ece1b9cbbe698884254f253a32615d6a9e972",
             ),
             (
-                ["--bin-width", "0.05"],
+                {"cutoff": 0.8, "bin_width": 0.05},
                 "c29cc37039f53c7a51df31eb0c803dd7a6105de9d041e8e766ed725a07ad8a40",
                 "a455f829702f5ea0795683c5f8966f8006bb2a064a3f5a40746ddc037530b36f",
             ),
         ],
         ids=["adaptive", "bin-width"],
     )
-    def test_digests(self, tmp_path, workdir, flags, estimate_digest, diagnostics_digest):
+    def test_digests(self, tmp_path, workdir, estimator, estimate_digest, diagnostics_digest):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**self.REFERENCE, "estimator": estimator}), encoding="utf-8")
         out = tmp_path / "o"
-        assert cli.main(["estimate", "--config", str(workdir / "config.json"),
-                         "--in", str(workdir / "series.f64le"), "--out", str(out), *flags]) == 0
+        assert cli.main(["estimate", "--config", str(config),
+                         "--in", str(workdir / "series.f64le"), "--out", str(out)]) == 0
         digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("estimate.csv", "diagnostics.json")]
         assert digests == [estimate_digest, diagnostics_digest]
@@ -515,7 +529,8 @@ class TestBench:
 
     def test_jobs_default_forwarded_unresolved(self, tmp_path, monkeypatch):
         # the library resolves None to the CPUs this process may use
-        assert cli.build_parser().parse_args(["bench", "--table1"]).jobs is None
+        args = cli.build_parser().parse_args(["bench", "--config", "c.json", "--table1"])
+        assert args.jobs is None
         seen = {}
 
         def fake_run_table1(params, marks, **kwargs):
@@ -544,16 +559,18 @@ class TestBench:
 
     def test_audit_without_smoothness_exits_2(self, tmp_path, capsys):
         config = _gamma_config(tmp_path)
-        code = cli.main(["bench", "--config", str(config), "--audit"])
+        out = tmp_path / "o"
+        code = cli.main(["bench", "--config", str(config), "--audit", "--out", str(out)])
         assert code == 2
         assert "smoothness" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.slow
     def test_table1_writes_reference_outputs(self, tmp_path):
         config = _gamma_config(tmp_path)
         out = tmp_path / "o"
         code = cli.main(["bench", "--config", str(config), "--table1",
-                         "--runs", "2", "--jobs", "1", "--out", str(out)])
+                         "--runs", "2", "--jobs", "1", "--seed", "7", "--out", str(out)])
         assert code == 0
         table = (out / "table1.csv").read_text()
         assert table.startswith("n,runs,mean_sup_error,variance\n")
@@ -568,8 +585,8 @@ class TestBench:
 
 class TestHill:
     def test_prints_ratio_and_k(self, tmp_path, capsys):
-        config = _gamma_config(tmp_path, n=20_000)
-        assert cli.main(["hill", "--config", str(config)]) == 0
+        config = _gamma_config(tmp_path)
+        assert cli.main(["hill", "--config", str(config), *_run(20_000)]) == 0
         stdout = capsys.readouterr().out.strip()
         left, right = stdout.split(" ")
         assert left.startswith("ratio_estimate=")
@@ -577,20 +594,18 @@ class TestHill:
         assert right == f"k={int(20_000 ** 0.6)}"
 
     def test_out_writes_json(self, tmp_path, capsys):
-        config = _gamma_config(tmp_path, n=5_000)
+        config = _gamma_config(tmp_path)
         out = tmp_path / "o"
         assert cli.main(["hill", "--config", str(config), "--out", str(out),
-                         "--k", "200"]) == 0
+                         "--k", "200", *_run(5_000)]) == 0
         capsys.readouterr()
         report = json.loads((out / "hill.json").read_text())
         assert report["k"] == 200 and report["n"] == 5_000
         assert report["ratio_estimate"] > 0.0
 
     def test_nonpositive_sample_exits_2(self, tmp_path, capsys):
-        config = _gamma_config(
-            tmp_path, n=100, model={"lambda": 0.0, "alpha": 1.0, "delta": 1.0},
-        )
-        assert cli.main(["hill", "--config", str(config)]) == 2
+        config = _gamma_config(tmp_path, model={"lambda": 0.0, "alpha": 1.0, "delta": 1.0})
+        assert cli.main(["hill", "--config", str(config), *_run(100)]) == 2
         capsys.readouterr()
 
     @pytest.mark.parametrize(
@@ -620,7 +635,7 @@ class TestHill:
         assert code == 2
         assert captured.err == message
         assert captured.out == ""
-        assert not (out / "hill.json").exists()
+        assert not out.exists()
 
 
 class TestNonFiniteInput:
@@ -638,14 +653,14 @@ class TestNonFiniteInput:
             path.write_text("index,value\n" + rows, encoding="utf-8")
         return path
 
-    @pytest.mark.parametrize("command", [["estimate", "--cutoff", "0.8"], ["hill"]])
+    @pytest.mark.parametrize("command", [["estimate"], ["hill"]])
     @pytest.mark.parametrize("suffix", ["f64le", "csv"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_exits_2_with_message(self, tmp_path, capsys, command, suffix, bad):
         config = _gamma_config(tmp_path)
         path = self._write(tmp_path, suffix, bad)
-        code = cli.main([command[0], "--config", str(config), "--in", str(path),
-                         "--out", str(tmp_path / "o"), *command[1:]])
+        code = cli.main([*command, "--config", str(config), "--in", str(path),
+                         "--out", str(tmp_path / "o")])
         captured = capsys.readouterr()
         assert code == 2
         assert "non-finite" in captured.err and "position 18" in captured.err
@@ -681,22 +696,20 @@ class TestRandomInputProperty:
     No warning may escape either: the suite turns every warning into an error.
     """
 
-    FLAGS = {"estimate": ["--cutoff", "2"], "hill": []}
-
-    @pytest.mark.parametrize("command", sorted(FLAGS))
+    @pytest.mark.parametrize("command", ["estimate", "hill"])
     @pytest.mark.parametrize("suffix", ["f64le", "csv"])
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_exit_code_is_documented(self, tmp_path, capsys, command, suffix, data):
-        config = _gamma_config(tmp_path, estimator=None)
+        config = _gamma_config(tmp_path, estimator={"cutoff": 2.0})
         path = tmp_path / f"series.{suffix}"
         if suffix == "f64le":
             path.write_bytes(data.draw(_f64le_payloads))
         else:
             path.write_text(data.draw(_csv_payloads), encoding="utf-8")
         code = cli.main([command, "--config", str(config), "--in", str(path),
-                         "--out", str(tmp_path / "o"), *self.FLAGS[command]])
+                         "--out", str(tmp_path / "o")])
         captured = capsys.readouterr()
         assert code in (0, 2, 3)
         assert "Traceback" not in captured.err
@@ -709,9 +722,11 @@ class TestUnreadableInput:
 
     def test_missing_f64le_exits_2(self, tmp_path, capsys):
         config = _gamma_config(tmp_path)
-        path = tmp_path / "nope.f64le"
-        assert cli.main(["estimate", "--config", str(config), "--in", str(path)]) == 2
+        path, out = tmp_path / "nope.f64le", tmp_path / "o"
+        assert cli.main(["estimate", "--config", str(config), "--in", str(path),
+                         "--out", str(out)]) == 2
         assert f"could not read series file {path}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_directory_f64le_exits_2(self, tmp_path, capsys):
         config = _gamma_config(tmp_path)
@@ -723,20 +738,21 @@ class TestUnreadableInput:
     def test_directory_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.mkdir()
-        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert cli.main(["simulate", "--config", str(path), "--n", "10"]) == 2
         assert f"could not read config file {path}" in capsys.readouterr().err
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_bytes(b"\xff\xfe{}")
-        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert cli.main(["simulate", "--config", str(path), "--n", "10"]) == 2
         assert "valid JSON" in capsys.readouterr().err
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
-        config = _gamma_config(tmp_path, n=200)
+        config = _gamma_config(tmp_path)
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")
-        assert cli.main(["simulate", "--config", str(config), "--out", str(blocker)]) == 1
+        assert cli.main(["simulate", "--config", str(config), "--out", str(blocker),
+                         *_run(200)]) == 1
         assert capsys.readouterr().err.startswith("i/o error: ")
 
 
@@ -751,11 +767,11 @@ def _set_key(config, path, value):
 
 
 def _estimate_with(tmp_path, path, value):
-    """Run ``estimate`` on the n=500 Gamma config with one key set to `value`."""
-    config = _gamma_config(tmp_path, n=500)
+    """Run ``estimate`` at n=500 on the Gamma config with one key set to `value`."""
+    config = _gamma_config(tmp_path)
     raw = _set_key(json.loads(config.read_text(encoding="utf-8")), path, value)
     config.write_text(json.dumps(raw), encoding="utf-8")
-    return cli.main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")])
+    return cli.main(["estimate", "--config", str(config), "--out", str(tmp_path / "o"), *_run(500)])
 
 
 class TestConfigValueTypes:
@@ -764,8 +780,6 @@ class TestConfigValueTypes:
     # (key, its name in the error message, kind): every number, count and flag
     # setting of the config; "optional" numbers take null as "unset"
     KEYS = [
-        ("seed", "seed", "count"),
-        ("n", "n", "count"),
         ("model.lambda", "lambda_phys", "number"),
         ("model.alpha", "alpha_phys", "number"),
         ("model.delta", "delta", "number"),
@@ -815,8 +829,8 @@ class TestConfigValueTypes:
 
     # Each used to crash with a raw ValueError (exit 1) or to be read as
     # another value: "no" as True, 2.5 as 2, true as 1.0 and 2000.7 as 2000.
-    # s, kappa and kappa_exponent are no longer settings, so their values are
-    # refused as an unknown key instead.
+    # s, kappa and kappa_exponent are no longer settings, and seed and n are
+    # set only by flags, so their values are refused as an unknown key instead.
     @pytest.mark.parametrize(
         ("path", "value", "name"),
         [
@@ -839,18 +853,25 @@ class TestConfigValueTypes:
         err = capsys.readouterr().err
         if name in ("s", "kappa", "kappa_exponent"):
             assert f"unknown fields [{name!r}] in config.estimator" in err, err
+        elif name in ("seed", "n"):
+            assert f"unknown fields [{name!r}] in config" in err, err
         else:
             assert re.search(rf"\b{name} must be\b", err), err
+
+    @pytest.mark.parametrize(
+        ("flag", "value"), [("--n", "2000.7"), ("--n", "abc"), ("--seed", "abc")],
+    )
+    def test_misread_flag_exits_2(self, tmp_path, capsys, flag, value):
+        config = _gamma_config(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["simulate", "--config", str(config), "--n", "10", flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
 
     def test_numeric_string_C_is_not_converted(self, tmp_path, capsys):
         # C is no longer a setting: any value is refused as an unknown key
         assert _estimate_with(tmp_path, "estimator.C", "0.5") == 2
         assert "unknown fields ['C'] in config.estimator" in capsys.readouterr().err
-
-    def test_output_dir_must_be_a_string(self, tmp_path, capsys):
-        config = _gamma_config(tmp_path, n=200, output={"dir": 5})
-        assert cli.main(["simulate", "--config", str(config)]) == 2
-        assert "config.output.dir" in capsys.readouterr().err
 
     def test_x_grid_count_past_fft_cap_exits_2(self, tmp_path, capsys):
         code = _estimate_with(tmp_path, "estimator.x_grid.count", 2**28)
@@ -894,7 +915,7 @@ class TestSeriesReader:
             path.write_text("index,value\n" + rows, encoding="utf-8")
         config = _gamma_config(tmp_path)
         code = cli.main(["estimate", "--config", str(config), "--in", str(path),
-                         "--out", str(tmp_path / "o"), "--cutoff", "0.8"])
+                         "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {path} holds a non-finite value (NaN or infinity) "
@@ -924,9 +945,11 @@ class TestSeriesReader:
 
 
 def test_output_formats_key_is_unknown(tmp_path, capsys):
+    # the output directory is set only by --out, so the whole section is unknown
     config = _gamma_config(tmp_path, output={"dir": str(tmp_path / "o"), "formats": ["csv"]})
     assert cli.main(["simulate", "--config", str(config), "--n", "10"]) == 2
-    assert "unknown fields ['formats'] in config.output" in capsys.readouterr().err
+    assert "unknown fields ['output'] in config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestAuditOutputPinning:

@@ -212,6 +212,16 @@ class TestHistogramType:
         with pytest.raises(InvalidParameterError, match="sum to 1"):
             Histogram(1.0, 0, np.array([0.5, 0.4]))
 
+    @pytest.mark.parametrize(
+        "mass, message",
+        [([[0.5, 0.5]], "mass must be a 1-d array, got 2 dimensions"),
+         ([1.5, -0.5], "mass must be nonnegative")],
+        ids=["2-d", "negative"],
+    )
+    def test_mass_shape_and_sign(self, mass, message):
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            Histogram(1.0, 0, np.array(mass))
+
 
 class TestEcfDirect:
     def test_two_point_sample(self):
@@ -299,6 +309,16 @@ class TestEcfGridType:
     def test_antisymmetry_enforced(self):
         with pytest.raises(InvalidParameterError, match="antisymmetric"):
             self._mk([0.5, 1.0, 0.5], [0.3j, 0.1j, -0.3j])
+
+    @pytest.mark.parametrize("wrong", ["phi", "phi_prime"])
+    def test_length_enforced(self, wrong):
+        phi, dphi = [0.5 - 0.1j, 1.0, 0.5 + 0.1j], [0.2j, 1.0j, 0.2j]
+        if wrong == "phi":
+            phi = phi[:2]
+        else:
+            dphi = dphi + [0.0]
+        with pytest.raises(InvalidParameterError, match="^phi and phi_prime must have length 3$"):
+            self._mk(phi, dphi)
 
     def test_valid_grid(self):
         grid = self._mk([0.5 - 0.1j, 1.0, 0.5 + 0.1j], [0.2j, 1.0j, 0.2j])

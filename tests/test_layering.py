@@ -2,16 +2,20 @@
 
 The order is errors -> serialize -> model -> simulate -> ecf -> estimator
 -> bench -> cli. The package ``__init__`` re-exports names of several layers and is
-exempt; ``cli`` may import ``__version__`` from it. The last test checks the
-names the benchmark's tracer wraps from outside the package.
+exempt; ``cli`` may import ``__version__`` from it. The last tests check the
+names the benchmark's tracer wraps from outside the package, and the command
+lines the benchmark sends.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+from shotdeconv import cli
 
 ORDER = ["errors", "serialize", "model", "simulate", "ecf", "estimator", "bench", "cli"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,12 +66,19 @@ def test_every_export_exists(module):
     assert not missing, missing
 
 
+def _perfbench(name):
+    """The benchmark module perfbench/`name`.py, loaded from its file."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_traced_name_is_bound():
     # perfbench/tracer.py swaps owner.__dict__[leaf] for a timing wrapper; a
     # renamed or dropped import would break only traced benchmark runs
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _perfbench("tracer")
     unbound = []
     for module_name, attr, _name, _counter in tracer.TARGETS:
         owner = importlib.import_module(f"shotdeconv.{module_name}")
@@ -77,3 +88,21 @@ def test_every_traced_name_is_bound():
         if owner is None or not callable(vars(owner).get(leaf)):
             unbound.append(f"{module_name}.{attr}")
     assert not unbound, unbound
+
+
+@pytest.mark.parametrize(
+    "config_name, fmt, command",
+    [("REF_CONFIG", "f64le", "estimate"), ("GAMMA_CONFIG", "csv", "hill")],
+)
+def test_benchmark_command_lines_run(tmp_path, capsys, config_name, fmt, command):
+    # the argv shapes of perfbench/workloads.py, at a small n: a CLI change
+    # that would break a benchmark run fails here first
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(getattr(_perfbench("workloads"), config_name)), encoding="utf-8")
+    data = tmp_path / "data"
+    assert cli.main(["simulate", "--config", str(config), "--format", fmt, "--n", "2000",
+                     "--seed", "3", "--out", str(data)]) == 0
+    argv = [command, "--config", str(config), "--in", str(data / f"series.{fmt}")]
+    if command == "estimate":
+        argv += ["--out", str(tmp_path / "estimate")]
+    assert cli.main(argv) == 0, capsys.readouterr().err

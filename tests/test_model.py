@@ -475,3 +475,8 @@ class TestJsonSerde:
     def test_non_dict_rejected(self):
         with pytest.raises(InvalidParameterError):
             marks_from_json(["exponential", 1.0])
+
+    def test_non_array_weights_rejected(self):
+        obj = {"type": "gaussian_mixture", "weights": 1.0, "means": [4.0], "sds": [1.0]}
+        with pytest.raises(InvalidParameterError, match="^marks.weights must be an array$"):
+            marks_from_json(obj)
