@@ -1,9 +1,9 @@
-"""Monte-Carlo harness: error tables, rate diagnostics, and the CF audit.
+"""Monte-Carlo harness: error tables, the log-log slope fit, and the CF audit.
 
 Reproduces the reference error table at desk scale: repeated simulation and
 estimation runs per sample size, aggregated into sup-norm error statistics,
-plus two property-style diagnostics (log-log rate slope, CF lower-bound
-audit) that check the theory empirically rather than reproducing constants.
+plus a property-style diagnostic (the CF lower-bound audit) that checks the
+theory empirically rather than reproducing constants.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "table_renormalize",
     "run_table1",
     "loglog_slope",
-    "run_rate_check",
     "run_lower_bound_audit",
     "reports_to_csv",
     "per_run_errors_to_csv",
@@ -58,9 +57,6 @@ _RENORMALIZE_BELOW = 10**4.5
 # Reference evaluation grid for the table experiment: 2048 points on [0, 30],
 # covering all mixture modes plus five standard deviations.
 _TABLE_X_GRID = XGrid(0.0, 30.0 / 2047, 2048)
-
-# sample sizes of the rate check's error table
-_RATE_N = (1_000, 10_000, 100_000)
 
 # the lower-bound audit compares the CFs on 1601 frequencies spaced evenly
 # over [-8, 8] and simulates one sample of this size for the ECF crossing
@@ -246,29 +242,6 @@ def loglog_slope(n_values, errors):
         return slope, 0.0
     s2 = float(np.sum(resid**2)) / dof
     return slope, 1.96 * math.sqrt(s2 / sxx)
-
-
-def run_rate_check(params, marks, runs, base_seed, jobs=None):
-    """Empirical convergence-rate slope from a fresh error table.
-
-    Runs `run_table1` at n = 1e3, 1e4 and 1e5; the other parameters are
-    passed through.
-
-    Returns
-    -------
-    dict
-        ``{"slope", "half_width", "n", "mean_sup_errors"}``.
-    """
-    reports = run_table1(params, marks, n_list=_RATE_N, runs=runs,
-                         base_seed=base_seed, jobs=jobs)
-    means = [r.mean_sup_error for r in reports]
-    slope, half = loglog_slope([r.n for r in reports], means)
-    return {
-        "slope": slope,
-        "half_width": half,
-        "n": [r.n for r in reports],
-        "mean_sup_errors": means,
-    }
 
 
 def run_lower_bound_audit(params, marks, smoothness, seed=20_240):

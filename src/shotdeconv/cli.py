@@ -27,7 +27,6 @@ from .bench import (
     reports_to_csv,
     reports_to_json_obj,
     run_lower_bound_audit,
-    run_rate_check,
     run_table1,
 )
 from .errors import InvalidParameterError, NumericalFailure, ResourceLimitError, checked_sample
@@ -137,10 +136,13 @@ def _read_series_file(path):
 
 
 def _input_values(args, params, marks):
-    """The `--in` series file's values, or else `--n` values simulated at the seed."""
-    if args.infile is not None:
-        return _read_series_file(args.infile)
-    return simulate_series(params, marks, args.n, seed=args.seed).values
+    """The `--in` series file's values, or else `--n` values simulated at `--seed` (default 0)."""
+    if args.infile is None:
+        seed = 0 if args.seed is None else args.seed
+        return simulate_series(params, marks, args.n, seed=seed).values
+    if args.seed is not None:
+        _fail("--seed is not allowed with --in: the seed drives only a series simulated with --n")
+    return _read_series_file(args.infile)
 
 
 def _cmd_simulate(args):
@@ -187,12 +189,7 @@ def _cmd_bench(args):
         _write(args.out, "table1_runs.csv", per_run_errors_to_csv(reports))
         _write(args.out, "table1.json", dumps_json(reports_to_json_obj(reports)))
         return 0
-    if args.rate:
-        report = run_rate_check(params, marks, runs=args.runs, base_seed=args.seed, jobs=args.jobs)
-        _write(args.out, "rate.json", dumps_json(report))
-        print(f"slope={format_float(report['slope'])} half_width={format_float(report['half_width'])}")
-        return 0
-    # argparse requires one of the three modes, so this is --audit
+    # argparse requires one of the two modes, so this is --audit
     if "smoothness" not in raw:
         _fail("--audit needs a 'smoothness' section in the config")
     smoothness = SmoothnessConfig(**raw["smoothness"])
@@ -233,6 +230,8 @@ def build_parser():
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--in", dest="infile", help="series file (csv or f64le)")
         source.add_argument("--n", type=int, help="sample size to simulate at --seed")
+        # an unset --seed reads None, so that --in can refuse an explicit one
+        p.set_defaults(seed=None)
 
     p_sim = sub.add_parser("simulate", help="write a simulated sample series")
     common(p_sim)
@@ -249,11 +248,11 @@ def build_parser():
     common(p_bench)
     mode = p_bench.add_mutually_exclusive_group(required=True)
     mode.add_argument("--table1", action="store_true", help="sup-error table over sample sizes")
-    mode.add_argument("--rate", action="store_true", help="log-log convergence-rate slope")
     mode.add_argument("--audit", action="store_true", help="CF lower-bound audit")
-    p_bench.add_argument("--runs", type=int, default=100, help="Monte-Carlo replicates")
+    p_bench.add_argument("--runs", type=int, default=100, help="Monte-Carlo replicates of --table1")
     p_bench.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: every CPU this process may use)")
+                         help="worker processes of --table1 "
+                         "(default: every CPU this process may use)")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_hill = sub.add_parser("hill", help="estimate the intensity/decay ratio")

@@ -22,6 +22,7 @@ from scipy.fft import next_fast_len
 from scipy.signal import CZT
 
 from .errors import (
+    _SIZE_CAP,
     InvalidParameterError,
     NumericalFailure,
     ResourceLimitError,
@@ -42,8 +43,6 @@ __all__ = [
     "ecf_deviation",
 ]
 
-# hard cap on the internal FFT length used by the chirp-z transform
-_FFT_CAP = 2**28
 # the default histogram splits the sample range into this many bins
 _DEFAULT_BINS = 4096
 # float64 holds every half-integer l + 1/2 with |l| below this bound exactly;
@@ -147,10 +146,10 @@ def build_histogram(sample, bin_width=None):
             f"center l + 1/2 exactly; shift or rescale the sample"
         )
     nbins = l_max - l_min + 1
-    if nbins > _FFT_CAP:
+    if nbins > _SIZE_CAP:
         raise ResourceLimitError(
             f"sample range {hi - lo:g} at bin_width {width:g} needs {nbins} bins "
-            f"(cap {_FFT_CAP}); increase bin_width"
+            f"(cap {_SIZE_CAP}); increase bin_width"
         )
     # floor(x / w) - l_min block by block, in two reused block buffers; the
     # subtraction is exact in floating point because both terms are integers
@@ -276,13 +275,13 @@ def ecf_direct(sample, u):
 def _czt_plan(n, m, w, a, remedy):
     """Chirp-z plan of `n` inputs to `m` outputs, points ``a * w**-k``.
 
-    Refuses a plan whose internal FFT would exceed 2^28 points before
+    Refuses a plan whose internal FFT would exceed the size cap before
     anything of that size exists; `remedy` tells the user what to change.
     """
     fft_len = next_fast_len(n + m - 1, real=False)
-    if fft_len > _FFT_CAP:
+    if fft_len > _SIZE_CAP:
         raise ResourceLimitError(
-            f"chirp-z transform would need an FFT of {fft_len} > {_FFT_CAP} points; {remedy}"
+            f"chirp-z transform would need an FFT of {fft_len} > {_SIZE_CAP} points; {remedy}"
         )
     return CZT(n, m=m, w=w, a=a)
 
@@ -310,7 +309,7 @@ def ecf_from_histogram(hist, u_step, half_count):
     Raises
     ------
     ResourceLimitError
-        If the internal FFT length would exceed 2^28 points.
+        If the internal FFT length would exceed the size cap.
     NumericalFailure
         If the transform misses phi(0) = 1, |phi| <= 1 or the conjugate
         symmetries by more than 1e-9. The chirp-z rounding grows with the

@@ -34,6 +34,12 @@ class ResourceLimitError(RuntimeError):
     """A requested computation would exceed a hard resource cap."""
 
 
+# one hard cap, checked before anything of that size is allocated, on the
+# intervals of one simulated series (burn-in included), the bins of one
+# histogram and the points of one chirp-z FFT
+_SIZE_CAP = 2**28
+
+
 _COMPARE = {">": operator.gt, ">=": operator.ge}
 
 

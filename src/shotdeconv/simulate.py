@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import ResourceLimitError, _check_count, checked_sample
+from .errors import _SIZE_CAP, ResourceLimitError, _check_count, checked_sample
 from .model import _BLOCK
 from .serialize import csv_text
 
@@ -39,10 +39,6 @@ _AGE_CUTOFF = 40.0
 # pulse position, in chunks of _POSITION_CHUNK intervals (see `_innovations`).
 _POSITION_BELOW = 16.0
 _POSITION_CHUNK = 4096
-
-# hard cap on the intervals one series simulates, burn-in included; the
-# same figure as the histogram's bin cap and the chirp-z FFT cap
-_INTERVAL_CAP = 2**28
 
 _SEED_MAX = 2**64
 
@@ -78,13 +74,13 @@ def default_burn_in(params):
     """Burn-in long enough to contract any start value below exp(-40).
 
     Raises ResourceLimitError when 40/alpha_norm overflows to infinity: no
-    such burn-in fits under the cap of 2^28 simulated intervals.
+    such burn-in fits under the cap on simulated intervals.
     """
     steps = _AGE_CUTOFF / params.alpha_norm
     if math.isinf(steps):
         raise ResourceLimitError(
             f"alpha_norm = {params.alpha_norm:g} needs a burn-in of 40/alpha_norm steps, "
-            f"which overflows and exceeds the cap of {_INTERVAL_CAP} simulated intervals; "
+            f"which overflows and exceeds the cap of {_SIZE_CAP} simulated intervals; "
             f"use a larger alpha*delta for a shorter burn-in"
         )
     return max(64, math.ceil(steps))
@@ -278,16 +274,16 @@ def simulate_series(params, marks, n, burn_in=None, seed=0):
     Raises
     ------
     ResourceLimitError
-        When ``n + burn_in`` exceeds 2^28, before anything is allocated.
+        When ``n + burn_in`` exceeds the size cap, before anything is allocated.
     """
     n = _check_count(n, "n")
     if burn_in is None:
         burn_in = default_burn_in(params)
     burn_in = _check_count(burn_in, "burn_in", minimum=0)
-    if n + burn_in > _INTERVAL_CAP:
+    if n + burn_in > _SIZE_CAP:
         raise ResourceLimitError(
             f"n = {n} observations after a burn-in of {burn_in} steps exceed the cap "
-            f"of {_INTERVAL_CAP} simulated intervals; use a smaller n, or a larger "
+            f"of {_SIZE_CAP} simulated intervals; use a smaller n, or a larger "
             f"alpha*delta for a shorter burn-in"
         )
     seed = _check_seed(seed)

@@ -176,11 +176,35 @@ class TestConfigValidation:
             assert excinfo.value.code == 2
             assert message in capsys.readouterr().err
 
-    def test_bench_without_mode_flag_is_an_argparse_error(self, tmp_path):
+    @pytest.mark.parametrize("command", ["estimate", "hill"])
+    def test_seed_with_in_exits_2(self, tmp_path, capsys, command):
+        # the seed drives only a simulated series, so with --in it would change nothing
         config = _gamma_config(tmp_path)
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["bench", "--config", str(config)])
-        assert excinfo.value.code == 2
+        data = tmp_path / "data"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(data), *_run(300)]) == 0
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(config), "--in", str(data / "series.csv"),
+                         "--seed", "99", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --seed is not allowed with --in: the seed drives only a series "
+            "simulated with --n\n"
+        )
+        assert not out.exists()
+        # with --n an unset --seed is still 0
+        assert cli.main(["hill", "--config", str(config), "--n", "300"]) == 0
+        assert cli.main(["hill", "--config", str(config), "--n", "300", "--seed", "0"]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second
+
+    def test_bench_without_mode_flag_is_an_argparse_error(self, tmp_path):
+        # --rate is not a mode either
+        config = _gamma_config(tmp_path)
+        out = tmp_path / "o"
+        for flags in ([], ["--rate"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(["bench", "--config", str(config), "--out", str(out), *flags])
+            assert excinfo.value.code == 2
+            assert not out.exists()
 
 
 class TestSimulate:
@@ -506,26 +530,11 @@ class TestBench:
         config = _gamma_config(tmp_path)
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["bench", "--config", str(config), "--rate", "--errors", "x.csv",
+            cli.main(["bench", "--config", str(config), "--audit", "--errors", "x.csv",
                       "--out", str(out)])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --errors x.csv" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_rate_runs_the_error_table(self, tmp_path, capsys):
-        # the error table at n = 1e3, 1e4, 1e5; digest recorded with numpy 2.4
-        # and scipy 1.17 on x86-64 on the pulse-position stream of light models
-        config = _gamma_config(tmp_path)
-        out = tmp_path / "o"
-        code = cli.main(["bench", "--config", str(config), "--rate", "--runs", "2",
-                         "--jobs", "1", "--seed", "1", "--out", str(out)])
-        assert code == 0
-        assert capsys.readouterr().out.startswith("slope=")
-        data = (out / "rate.json").read_bytes()
-        assert json.loads(data)["n"] == [1000, 10000, 100000]
-        assert hashlib.sha256(data).hexdigest() == (
-            "e08dface6eee2e25baff213b5a6971c2f0cdc1b51624b6bcc9dc4471d206b204"
-        )
 
     def test_jobs_default_forwarded_unresolved(self, tmp_path, monkeypatch):
         # the library resolves None to the CPUs this process may use

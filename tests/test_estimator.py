@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shotdeconv.ecf import _FFT_CAP, EcfGrid, build_histogram
-from shotdeconv.errors import InvalidParameterError, NumericalFailure, ResourceLimitError
+from shotdeconv.ecf import EcfGrid, build_histogram
+from shotdeconv.errors import _SIZE_CAP, InvalidParameterError, NumericalFailure, ResourceLimitError
 from shotdeconv.estimator import (
     DensityEstimate,
     EstimatorConfig,
@@ -222,9 +222,9 @@ class TestInvertDensity:
             invert_density(np.ones(65, complex), 0.01, 0.64, "grid")
 
     def test_x_grid_count_past_fft_cap_fails_before_allocating(self):
-        # 65 inputs to _FFT_CAP outputs need an FFT of at least _FFT_CAP + 64
+        # 65 inputs to _SIZE_CAP outputs need an FFT of at least _SIZE_CAP + 64
         # points; the check runs before any array of that size exists
-        x_grid = XGrid(0.0, 0.1, _FFT_CAP)
+        x_grid = XGrid(0.0, 0.1, _SIZE_CAP)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="FFT.*x_grid count"):
