@@ -1,5 +1,7 @@
-"""Command-line interface: simulate, estimate, bench, and hill subcommands.
+"""Command-line interface: simulate, estimate, table1, audit and hill subcommands.
 
+Each subcommand does one job and takes only the flags it reads. Only
+`simulate` simulates; `estimate` and `hill` read a recorded series file.
 Each setting has one entry point. Flags give the run: the sample size, the
 seed, the output directory and the input file. A JSON config file gives what
 to compute: the model, the mark law, the estimator and the smoothness class.
@@ -135,19 +137,7 @@ def _read_series_file(path):
     return values
 
 
-def _input_values(args, params, marks):
-    """The `--in` series file's values, or else `--n` values simulated at `--seed` (default 0)."""
-    if args.infile is None:
-        seed = 0 if args.seed is None else args.seed
-        return simulate_series(params, marks, args.n, seed=seed).values
-    if args.seed is not None:
-        _fail("--seed is not allowed with --in: the seed drives only a series simulated with --n")
-    return _read_series_file(args.infile)
-
-
-def _cmd_simulate(args):
-    raw = _load_config(args.config)
-    params, marks = _resolve_model(raw)
+def _cmd_simulate(args, raw, params, marks):
     series = simulate_series(params, marks, args.n, seed=args.seed)
     data_file = f"series.{args.format}"
     encode = series_to_csv if args.format == "csv" else series_to_f64le
@@ -166,12 +156,9 @@ def _cmd_simulate(args):
     return 0
 
 
-def _cmd_estimate(args):
-    raw = _load_config(args.config)
-    params, marks = _resolve_model(raw)
+def _cmd_estimate(args, raw, params, marks):
     config = _resolve_estimator_config(raw, params)
-    values = _input_values(args, params, marks)
-    estimate = estimate_density(values, config)
+    estimate = estimate_density(_read_series_file(args.infile), config)
     _write(args.out, "estimate.csv", density_to_csv(estimate))
     diagnostics = dict(estimate.diagnostics)
     if diagnostics.get("fraction_thresholded") == 1.0:
@@ -180,18 +167,17 @@ def _cmd_estimate(args):
     return 0
 
 
-def _cmd_bench(args):
-    raw = _load_config(args.config)
-    params, marks = _resolve_model(raw)
-    if args.table1:
-        reports = run_table1(params, marks, runs=args.runs, base_seed=args.seed, jobs=args.jobs)
-        _write(args.out, "table1.csv", reports_to_csv(reports))
-        _write(args.out, "table1_runs.csv", per_run_errors_to_csv(reports))
-        _write(args.out, "table1.json", dumps_json(reports_to_json_obj(reports)))
-        return 0
-    # argparse requires one of the two modes, so this is --audit
+def _cmd_table1(args, raw, params, marks):
+    reports = run_table1(params, marks, runs=args.runs, base_seed=args.seed, jobs=args.jobs)
+    _write(args.out, "table1.csv", reports_to_csv(reports))
+    _write(args.out, "table1_runs.csv", per_run_errors_to_csv(reports))
+    _write(args.out, "table1.json", dumps_json(reports_to_json_obj(reports)))
+    return 0
+
+
+def _cmd_audit(args, raw, params, marks):
     if "smoothness" not in raw:
-        _fail("--audit needs a 'smoothness' section in the config")
+        _fail("audit needs a 'smoothness' section in the config")
     smoothness = SmoothnessConfig(**raw["smoothness"])
     report = run_lower_bound_audit(params, marks, smoothness, seed=args.seed)
     _write(args.out, "audit.json", dumps_json(report))
@@ -199,10 +185,8 @@ def _cmd_bench(args):
     return 0
 
 
-def _cmd_hill(args):
-    raw = _load_config(args.config)
-    params, marks = _resolve_model(raw)
-    values = _input_values(args, params, marks)
+def _cmd_hill(args, raw, params, marks):
+    values = _read_series_file(args.infile)
     estimate = hill_ratio(values, k=args.k)
     k_used = args.k if args.k is not None else default_hill_k(values.size)
     print(f"ratio_estimate={format_float(estimate)} k={k_used}")
@@ -221,53 +205,46 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out="."):
+    def command(name, func, summary, out="."):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=0, help="64-bit seed")
         p.add_argument("--out", default=out, help="output directory")
+        p.set_defaults(func=func)
+        return p
 
-    def sample(p):
-        source = p.add_mutually_exclusive_group(required=True)
-        source.add_argument("--in", dest="infile", help="series file (csv or f64le)")
-        source.add_argument("--n", type=int, help="sample size to simulate at --seed")
-        # an unset --seed reads None, so that --in can refuse an explicit one
-        p.set_defaults(seed=None)
+    def seed(p):
+        p.add_argument("--seed", type=int, default=0, help="64-bit seed")
 
-    p_sim = sub.add_parser("simulate", help="write a simulated sample series")
-    common(p_sim)
+    def series_file(p):
+        p.add_argument("--in", dest="infile", required=True, help="series file (csv or f64le)")
+
+    p_sim = command("simulate", _cmd_simulate, "write a simulated sample series")
+    seed(p_sim)
     p_sim.add_argument("--n", type=int, required=True, help="sample size")
     p_sim.add_argument("--format", choices=["csv", "f64le"], default="csv")
-    p_sim.set_defaults(func=_cmd_simulate)
 
-    p_est = sub.add_parser("estimate", help="estimate the mark density")
-    common(p_est)
-    sample(p_est)
-    p_est.set_defaults(func=_cmd_estimate)
+    series_file(command("estimate", _cmd_estimate, "estimate the mark density from a series file"))
 
-    p_bench = sub.add_parser("bench", help="Monte-Carlo benchmarks and diagnostics")
-    common(p_bench)
-    mode = p_bench.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--table1", action="store_true", help="sup-error table over sample sizes")
-    mode.add_argument("--audit", action="store_true", help="CF lower-bound audit")
-    p_bench.add_argument("--runs", type=int, default=100, help="Monte-Carlo replicates of --table1")
-    p_bench.add_argument("--jobs", type=int, default=None,
-                         help="worker processes of --table1 "
-                         "(default: every CPU this process may use)")
-    p_bench.set_defaults(func=_cmd_bench)
+    p_table = command("table1", _cmd_table1, "Monte-Carlo sup-error table over sample sizes")
+    seed(p_table)
+    p_table.add_argument("--runs", type=int, default=100, help="Monte-Carlo replicates")
+    p_table.add_argument("--jobs", type=int, default=None,
+                         help="worker processes (default: every CPU this process may use)")
 
-    p_hill = sub.add_parser("hill", help="estimate the intensity/decay ratio")
-    common(p_hill, out=None)
-    sample(p_hill)
+    seed(command("audit", _cmd_audit, "CF lower-bound audit; needs a smoothness section"))
+
+    p_hill = command("hill", _cmd_hill, "estimate the intensity/decay ratio", out=None)
+    series_file(p_hill)
     p_hill.add_argument("--k", type=int, default=None, help="number of upper order statistics")
-    p_hill.set_defaults(func=_cmd_hill)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        raw = _load_config(args.config)
+        params, marks = _resolve_model(raw)
+        return args.func(args, raw, params, marks)
     except (InvalidParameterError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ import numpy as np
 
 from .ecf import EcfGrid, _czt_plan, build_histogram, ecf_from_histogram
 from .errors import (
+    _SIZE_CAP,
     InvalidParameterError,
     NumericalFailure,
     _check_count,
@@ -54,7 +55,13 @@ class XGrid:
     def __post_init__(self):
         object.__setattr__(self, "start", _check_number(self.start, "start"))
         object.__setattr__(self, "step", _check_number(self.step, "step", gt=0))
-        object.__setattr__(self, "count", _check_count(self.count, "count", minimum=2))
+        # no FFT within the size cap evaluates more points
+        object.__setattr__(self, "count", _check_count(self.count, "count", 2, _SIZE_CAP))
+        last = self.start + self.step * (self.count - 1)
+        if not math.isfinite(last):
+            raise InvalidParameterError(
+                f"x_grid last point start + step * (count - 1) = {last} is not finite"
+            )
 
     @property
     def values(self):
@@ -245,6 +252,8 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, diagnostics=None):
 
     Raises
     ------
+    InvalidParameterError
+        If `mark_cf` holds a NaN or an infinity.
     NumericalFailure
         If the imaginary residual exceeds 1e-6; the clamped estimate is
         attached as ``partial``.
@@ -252,6 +261,8 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, diagnostics=None):
     values = np.asarray(mark_cf, dtype=complex)
     if values.ndim != 1 or values.size < 3 or values.size % 2 == 0:
         raise InvalidParameterError("mark_cf must be a 1-d complex array of odd length >= 3")
+    if not np.isfinite(values).all():
+        raise InvalidParameterError("mark_cf must hold finite values only")
     step = _check_number(u_step, "u_step", gt=0)
     cutoff = _check_number(cutoff, "cutoff", gt=0)
     if not isinstance(x_grid, XGrid):

@@ -5,27 +5,30 @@ the `python -m shotdeconv.cli` entry point works as installed, and that an
 error message does not depend on the interpreter's hash seed.
 """
 
+import argparse
 import dataclasses
 import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shotdeconv import cli
+from shotdeconv import cli, estimator
 from shotdeconv.bench import McReport
 from shotdeconv.errors import NumericalFailure
-from shotdeconv.estimator import EstimatorConfig
+from shotdeconv.estimator import EstimatorConfig, XGrid, density_to_csv, estimate_density
 from shotdeconv.model import _BLOCK, Exponential, ModelParams, normalize
-from shotdeconv.simulate import default_burn_in, simulate_series
+from shotdeconv.simulate import default_burn_in, series_to_csv, simulate_series
 
 
 def _gamma_config(tmp_path, name="config.json", **overrides):
@@ -49,8 +52,17 @@ def _gamma_config(tmp_path, name="config.json", **overrides):
 
 
 def _run(n=2_000, seed=7):
-    """The flags of a simulated run of `n` values at `seed`."""
+    """The `simulate` flags of a run of `n` values at `seed`."""
     return ["--n", str(n), "--seed", str(seed)]
+
+
+def _series(tmp_path, n=2_000, seed=7):
+    """`--in` flags of a CSV series of the `_gamma_config` model: `n` values at `seed`."""
+    path = tmp_path / f"series-{n}-{seed}.csv"
+    if not path.exists():
+        series = simulate_series(normalize(2.0, 1.0, 1.0), Exponential(1.0), n, seed=seed)
+        path.write_text(series_to_csv(series), encoding="utf-8")
+    return ["--in", str(path)]
 
 
 class TestEntryPoint:
@@ -73,6 +85,21 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert (out / "series.csv").exists()
         assert (out / "series_meta.json").exists()
+
+
+def test_readme_command_lines_parse():
+    # a stale example in README's shell blocks fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks
+             for line in block.splitlines() if line.startswith("shotdeconv ")]
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for words in lines:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {shlex.join(words)}")
 
 
 class TestConfigValidation:
@@ -99,7 +126,7 @@ class TestConfigValidation:
 
     def test_unknown_estimator_key_exits_2(self, tmp_path, capsys):
         config = _gamma_config(tmp_path, estimator={"cutoff": 2.0, "cutof": 1.0})
-        assert cli.main(["estimate", "--config", str(config), *_run()]) == 2
+        assert cli.main(["estimate", "--config", str(config), *_series(tmp_path)]) == 2
         assert "unknown fields" in capsys.readouterr().err
 
     def test_unknown_model_key_exits_2(self, tmp_path, capsys):
@@ -115,7 +142,7 @@ class TestConfigValidation:
     def test_kappa_exponent_is_an_unknown_key(self, tmp_path, capsys):
         # the threshold exponent is the theorem's 2, not a setting
         config = _gamma_config(tmp_path, estimator={"cutoff": 2.0, "kappa_exponent": 2})
-        assert cli.main(["estimate", "--config", str(config), *_run()]) == 2
+        assert cli.main(["estimate", "--config", str(config), *_series(tmp_path)]) == 2
         assert "unknown fields ['kappa_exponent'] in config.estimator" in capsys.readouterr().err
 
     @pytest.mark.parametrize("theorem", [False, True])
@@ -126,7 +153,7 @@ class TestConfigValidation:
         section = {"use_theorem_bandwidth": True} if theorem else {"cutoff": 2.0}
         config = _gamma_config(tmp_path, estimator={**section, "s": s})
         assert cli.main(["estimate", "--config", str(config), "--out", str(tmp_path / "o"),
-                         *_run()]) == 2
+                         *_series(tmp_path)]) == 2
         unknown = ["s", "use_theorem_bandwidth"] if theorem else ["s"]
         assert f"unknown fields {unknown} in config.estimator" in capsys.readouterr().err
 
@@ -140,7 +167,7 @@ class TestConfigValidation:
         [
             ({"model": {}, "marks": {"type": "exponential", "rate": 1.0}}, "simulate"),
             ({"model": {"lambda": 2.0, "alpha": 1.0, "delta": 1.0},
-              "marks": {"type": "exponential", "rate": 1.0}, "smoothness": {}}, "bench"),
+              "marks": {"type": "exponential", "rate": 1.0}, "smoothness": {}}, "audit"),
         ],
         ids=["model", "smoothness"],
     )
@@ -149,7 +176,7 @@ class TestConfigValidation:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         argv = [sys.executable, "-m", "shotdeconv.cli", command, "--config", str(path),
-                "--out", str(tmp_path / "o"), "--audit" if command == "bench" else "--n=10"]
+                "--out", str(tmp_path / "o"), *(["--n=10"] if command == "simulate" else [])]
         errs = []
         for hash_seed in ("0", "2"):
             env = {**os.environ, "PYTHONHASHSEED": hash_seed}
@@ -166,10 +193,12 @@ class TestConfigValidation:
         assert "valid JSON" in capsys.readouterr().err
 
     def test_missing_n_exits_2(self, tmp_path, capsys):
+        # simulate needs its sample size, and estimate and hill their series file
         config = _gamma_config(tmp_path)
         for command, message in [
             ("simulate", "the following arguments are required: --n"),
-            ("estimate", "one of the arguments --in --n is required"),
+            ("estimate", "the following arguments are required: --in"),
+            ("hill", "the following arguments are required: --in"),
         ]:
             with pytest.raises(SystemExit) as excinfo:
                 cli.main([command, "--config", str(config)])
@@ -178,33 +207,53 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command", ["estimate", "hill"])
     def test_seed_with_in_exits_2(self, tmp_path, capsys, command):
-        # the seed drives only a simulated series, so with --in it would change nothing
+        # a series file is all that estimate and hill read, so they take no seed
         config = _gamma_config(tmp_path)
-        data = tmp_path / "data"
-        assert cli.main(["simulate", "--config", str(config), "--out", str(data), *_run(300)]) == 0
         out = tmp_path / "o"
-        assert cli.main([command, "--config", str(config), "--in", str(data / "series.csv"),
-                         "--seed", "99", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: --seed is not allowed with --in: the seed drives only a series "
-            "simulated with --n\n"
-        )
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--config", str(config), *_series(tmp_path),
+                      "--seed", "99", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
         assert not out.exists()
-        # with --n an unset --seed is still 0
-        assert cli.main(["hill", "--config", str(config), "--n", "300"]) == 0
-        assert cli.main(["hill", "--config", str(config), "--n", "300", "--seed", "0"]) == 0
-        first, second = capsys.readouterr().out.splitlines()
-        assert first == second
 
-    def test_bench_without_mode_flag_is_an_argparse_error(self, tmp_path):
-        # --rate is not a mode either
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("bench", ["--table1"], "invalid choice: 'bench'"),
+            ("estimate", ["--n", "100"], "unrecognized arguments: --n 100"),
+            ("hill", ["--n", "100"], "unrecognized arguments: --n 100"),
+            ("audit", ["--runs", "7"], "unrecognized arguments: --runs 7"),
+            ("audit", ["--jobs", "3"], "unrecognized arguments: --jobs 3"),
+        ],
+        ids=["bench-table1", "estimate-n", "hill-n", "audit-runs", "audit-jobs"],
+    )
+    def test_unread_flag_exits_2(self, tmp_path, capsys, command, flags, message):
+        # each subcommand takes only the flags it reads; bench's modes are subcommands
         config = _gamma_config(tmp_path)
         out = tmp_path / "o"
-        for flags in ([], ["--rate"]):
-            with pytest.raises(SystemExit) as excinfo:
-                cli.main(["bench", "--config", str(config), "--out", str(out), *flags])
-            assert excinfo.value.code == 2
-            assert not out.exists()
+        source = _series(tmp_path) if command in ("estimate", "hill") else []
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--config", str(config), *source, *flags, "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_option_sets(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: sorted(flag for action in p._actions for flag in action.option_strings
+                         if flag not in ("-h", "--help"))
+            for name, p in sub.choices.items()
+        }
+        assert options == {
+            "simulate": ["--config", "--format", "--n", "--out", "--seed"],
+            "estimate": ["--config", "--in", "--out"],
+            "table1": ["--config", "--jobs", "--out", "--runs", "--seed"],
+            "audit": ["--config", "--out", "--seed"],
+            "hill": ["--config", "--in", "--k", "--out"],
+        }
 
 
 class TestSimulate:
@@ -293,7 +342,8 @@ class TestEstimate:
     def test_writes_estimate_and_diagnostics(self, tmp_path):
         config = _gamma_config(tmp_path)
         out = tmp_path / "o"
-        assert cli.main(["estimate", "--config", str(config), "--out", str(out), *_run()]) == 0
+        assert cli.main(["estimate", "--config", str(config), "--out", str(out),
+                         *_series(tmp_path)]) == 0
         text = (out / "estimate.csv").read_text()
         assert text.startswith("x,theta_hat\n")
         assert len(text.splitlines()) == 202  # header + 201 grid points
@@ -301,30 +351,61 @@ class TestEstimate:
         assert "fraction_thresholded" in diagnostics
         assert 0.0 <= diagnostics["fraction_thresholded"] < 1.0
 
-    def test_in_csv_matches_internal_simulation(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "f64le"])
+    def test_in_matches_library_estimate(self, tmp_path, fmt):
+        # simulate, then estimate --in, gives the library's bytes on the same series
         config = _gamma_config(tmp_path)
-        sim_out, est_a, est_b = tmp_path / "sim", tmp_path / "ea", tmp_path / "eb"
-        assert cli.main(["simulate", "--config", str(config), "--out", str(sim_out), *_run()]) == 0
-        assert cli.main(["estimate", "--config", str(config), "--out", str(est_a),
-                         "--in", str(sim_out / "series.csv")]) == 0
-        assert cli.main(["estimate", "--config", str(config), "--out", str(est_b), *_run()]) == 0
-        assert (est_a / "estimate.csv").read_bytes() == (est_b / "estimate.csv").read_bytes()
+        data, out = tmp_path / "data", tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(data),
+                         "--format", fmt, *_run()]) == 0
+        assert cli.main(["estimate", "--config", str(config), "--out", str(out),
+                         "--in", str(data / f"series.{fmt}")]) == 0
+        params = normalize(2.0, 1.0, 1.0)
+        values = simulate_series(params, Exponential(1.0), 2_000, seed=7).values
+        config = EstimatorConfig(ratio=params.ratio, cutoff=2.0, x_grid=XGrid(0.0, 0.05, 201))
+        expected = density_to_csv(estimate_density(values, config))
+        assert (out / "estimate.csv").read_bytes() == expected.encode("utf-8")
 
-    def test_in_f64le_matches_internal_simulation(self, tmp_path):
+    def test_non_finite_x_grid_exits_2_before_reading(self, tmp_path, capsys):
+        # its last point overflows: refused with the config, with no warning
+        grid = {"start": -1e308, "step": 1e308, "count": 3}
+        config = _gamma_config(tmp_path, estimator={"cutoff": 2.0, "x_grid": grid})
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["estimate", "--config", str(config), *_series(tmp_path),
+                             "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: x_grid last point start + step * (count - 1) = inf is not finite\n"
+        )
+        assert not out.exists()
+
+    def test_non_finite_mark_cf_exits_2(self, tmp_path, capsys, monkeypatch):
+        # one NaN in the mark CF would make every estimated value NaN
         config = _gamma_config(tmp_path)
-        sim_out, est_a, est_b = tmp_path / "sim", tmp_path / "ea", tmp_path / "eb"
-        assert cli.main(["simulate", "--config", str(config), "--out", str(sim_out),
-                         "--format", "f64le", *_run()]) == 0
-        assert cli.main(["estimate", "--config", str(config), "--out", str(est_a),
-                         "--in", str(sim_out / "series.f64le")]) == 0
-        assert cli.main(["estimate", "--config", str(config), "--out", str(est_b), *_run()]) == 0
-        assert (est_a / "estimate.csv").read_bytes() == (est_b / "estimate.csv").read_bytes()
+        real = estimator.mark_cf_estimate
+
+        def with_nan(*args):
+            values, diagnostics = real(*args)
+            values[values.size // 2] = complex("nan")
+            return values, diagnostics
+
+        monkeypatch.setattr(estimator, "mark_cf_estimate", with_nan)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["estimate", "--config", str(config), *_series(tmp_path),
+                             "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: mark_cf must hold finite values only\n"
+        assert not out.exists()
 
     def test_too_fine_bin_width_exits_3(self, tmp_path, capsys):
         # about 5.3e5 bins: the chirp-z rounding misses phi(0) = 1 by more
         # than 1e-9, which is a numerical failure, not an input error
         config = _gamma_config(tmp_path, estimator={"cutoff": 2.0, "bin_width": 3e-5})
-        code = cli.main(["estimate", "--config", str(config), *_run(100_000, seed=1),
+        code = cli.main(["estimate", "--config", str(config), *_series(tmp_path, 100_000, seed=1),
                          "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
@@ -353,7 +434,7 @@ class TestEstimate:
     def test_removed_threshold_flag_exits_2(self, tmp_path, capsys, flag):
         config = _gamma_config(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["estimate", "--config", str(config), *_run(), flag, "0.5"])
+            cli.main(["estimate", "--config", str(config), *_series(tmp_path), flag, "0.5"])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
 
@@ -412,7 +493,7 @@ class TestEstimate:
 
         monkeypatch.setattr(cli, "estimate_density", boom)
         code = cli.main(["estimate", "--config", str(config), "--out", str(tmp_path / "o"),
-                         *_run()])
+                         *_series(tmp_path)])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -526,11 +607,13 @@ class TestEstimateOutputPinning:
 
 
 class TestBench:
+    """The `table1` and `audit` subcommands over the bench module."""
+
     def test_errors_flag_is_unrecognized(self, tmp_path, capsys):
         config = _gamma_config(tmp_path)
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["bench", "--config", str(config), "--audit", "--errors", "x.csv",
+            cli.main(["audit", "--config", str(config), "--errors", "x.csv",
                       "--out", str(out)])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --errors x.csv" in capsys.readouterr().err
@@ -538,7 +621,7 @@ class TestBench:
 
     def test_jobs_default_forwarded_unresolved(self, tmp_path, monkeypatch):
         # the library resolves None to the CPUs this process may use
-        args = cli.build_parser().parse_args(["bench", "--config", "c.json", "--table1"])
+        args = cli.build_parser().parse_args(["table1", "--config", "c.json"])
         assert args.jobs is None
         seen = {}
 
@@ -548,8 +631,7 @@ class TestBench:
 
         monkeypatch.setattr(cli, "run_table1", fake_run_table1)
         config = _gamma_config(tmp_path)
-        assert cli.main(["bench", "--config", str(config), "--table1",
-                         "--out", str(tmp_path / "o")]) == 0
+        assert cli.main(["table1", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
         assert "jobs" in seen and seen["jobs"] is None
 
     def test_audit_passes_for_exponential_marks(self, tmp_path, capsys):
@@ -558,8 +640,7 @@ class TestBench:
             smoothness={"s": 1.0, "K": 121.0, "L": 0.378, "m": 1.0},
         )
         out = tmp_path / "o"
-        code = cli.main(["bench", "--config", str(config), "--audit",
-                         "--out", str(out), "--seed", "4"])
+        code = cli.main(["audit", "--config", str(config), "--out", str(out), "--seed", "4"])
         assert code == 0
         assert capsys.readouterr().out.startswith("audit passed")
         report = json.loads((out / "audit.json").read_text())
@@ -569,7 +650,7 @@ class TestBench:
     def test_audit_without_smoothness_exits_2(self, tmp_path, capsys):
         config = _gamma_config(tmp_path)
         out = tmp_path / "o"
-        code = cli.main(["bench", "--config", str(config), "--audit", "--out", str(out)])
+        code = cli.main(["audit", "--config", str(config), "--out", str(out)])
         assert code == 2
         assert "smoothness" in capsys.readouterr().err
         assert not out.exists()
@@ -578,7 +659,7 @@ class TestBench:
     def test_table1_writes_reference_outputs(self, tmp_path):
         config = _gamma_config(tmp_path)
         out = tmp_path / "o"
-        code = cli.main(["bench", "--config", str(config), "--table1",
+        code = cli.main(["table1", "--config", str(config),
                          "--runs", "2", "--jobs", "1", "--seed", "7", "--out", str(out)])
         assert code == 0
         table = (out / "table1.csv").read_text()
@@ -595,7 +676,7 @@ class TestBench:
 class TestHill:
     def test_prints_ratio_and_k(self, tmp_path, capsys):
         config = _gamma_config(tmp_path)
-        assert cli.main(["hill", "--config", str(config), *_run(20_000)]) == 0
+        assert cli.main(["hill", "--config", str(config), *_series(tmp_path, 20_000)]) == 0
         stdout = capsys.readouterr().out.strip()
         left, right = stdout.split(" ")
         assert left.startswith("ratio_estimate=")
@@ -606,16 +687,19 @@ class TestHill:
         config = _gamma_config(tmp_path)
         out = tmp_path / "o"
         assert cli.main(["hill", "--config", str(config), "--out", str(out),
-                         "--k", "200", *_run(5_000)]) == 0
+                         "--k", "200", *_series(tmp_path, 5_000)]) == 0
         capsys.readouterr()
         report = json.loads((out / "hill.json").read_text())
         assert report["k"] == 200 and report["n"] == 5_000
         assert report["ratio_estimate"] > 0.0
 
     def test_nonpositive_sample_exits_2(self, tmp_path, capsys):
+        # a zero-intensity series is all zeros
         config = _gamma_config(tmp_path, model={"lambda": 0.0, "alpha": 1.0, "delta": 1.0})
-        assert cli.main(["hill", "--config", str(config), *_run(100)]) == 2
-        capsys.readouterr()
+        data = tmp_path / "data"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(data), *_run(100)]) == 0
+        assert cli.main(["hill", "--config", str(config), "--in", str(data / "series.csv")]) == 2
+        assert "must be > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         ("suffix", "payload", "message"),
@@ -776,11 +860,12 @@ def _set_key(config, path, value):
 
 
 def _estimate_with(tmp_path, path, value):
-    """Run ``estimate`` at n=500 on the Gamma config with one key set to `value`."""
+    """Run ``estimate`` on 500 values with one key of the Gamma config set to `value`."""
     config = _gamma_config(tmp_path)
     raw = _set_key(json.loads(config.read_text(encoding="utf-8")), path, value)
     config.write_text(json.dumps(raw), encoding="utf-8")
-    return cli.main(["estimate", "--config", str(config), "--out", str(tmp_path / "o"), *_run(500)])
+    return cli.main(["estimate", "--config", str(config), "--out", str(tmp_path / "o"),
+                     *_series(tmp_path, 500)])
 
 
 class TestConfigValueTypes:
@@ -962,7 +1047,7 @@ def test_output_formats_key_is_unknown(tmp_path, capsys):
 
 
 class TestAuditOutputPinning:
-    """Digests of `shotdeconv bench --audit` on the two criterion-7 configurations.
+    """Digests of `shotdeconv audit` on the two criterion-7 configurations.
 
     Recorded with numpy 2.4 and scipy 1.17 on x86-64 with AVX-512, before the
     oracle was evaluated on u >= 0 only and mirrored; the mirror must give
@@ -993,7 +1078,6 @@ class TestAuditOutputPinning:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         out = tmp_path / "o"
-        assert cli.main(["bench", "--config", str(path), "--audit",
-                         "--seed", "4", "--out", str(out)]) == 0
+        assert cli.main(["audit", "--config", str(path), "--seed", "4", "--out", str(out)]) == 0
         assert capsys.readouterr().out.startswith("audit passed")
         assert hashlib.sha256((out / "audit.json").read_bytes()).hexdigest() == digest

@@ -48,6 +48,20 @@ class TestXGrid:
         with pytest.raises(InvalidParameterError):
             XGrid(float("nan"), 1.0, 4)
 
+    @pytest.mark.parametrize(
+        "start, step, count",
+        [(-1e308, 1e308, 3), (0.0, 1e308, 3), (1e308, 1e308, 2)],
+    )
+    def test_non_finite_last_point_rejected(self, start, step, count):
+        # every point is finite, or the grid is refused: no inf or nan x reaches the inversion
+        with pytest.raises(InvalidParameterError, match="last point .* not finite"):
+            XGrid(start, step, count)
+
+    def test_count_past_size_cap_rejected(self):
+        # refused as a count, not with an overflow converting it to a float
+        with pytest.raises(InvalidParameterError, match="count must be an integer in"):
+            XGrid(0.0, 1e-300, 10**400)
+
 
 class TestEstimatorConfig:
     def test_defaults(self):
@@ -220,6 +234,14 @@ class TestInvertDensity:
             invert_density(np.ones(65, complex), 0.05, 1.0, x_grid)
         with pytest.raises(InvalidParameterError):
             invert_density(np.ones(65, complex), 0.01, 0.64, "grid")
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.0, float("-inf"))])
+    def test_non_finite_mark_cf_rejected(self, bad):
+        # one bad value would make the whole estimate and imag_residual NaN
+        phi = np.ones(65, complex)
+        phi[40] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            invert_density(phi, 0.01, 0.64, XGrid(0.0, 0.1, 11))
 
     def test_x_grid_count_past_fft_cap_fails_before_allocating(self):
         # 65 inputs to _SIZE_CAP outputs need an FFT of at least _SIZE_CAP + 64
