@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .estimator import (
 )
 from .model import cf_lower_bound, check_smoothness, marks_to_json, true_shot_cf
 from .serialize import csv_text
-from .simulate import _resolve_jobs, _run_tasks, derive_seed, simulate_series
+from .simulate import _monte_carlo, simulate_series
 
 __all__ = [
     "McReport",
@@ -138,12 +139,10 @@ class McReport:
         object.__setattr__(self, "variance_sup_error", var)
 
 
-def _one_table_error(task):
-    """Worker: one simulate-estimate-error cycle (picklable, pure)."""
-    params, marks, n, seed, config = task
+def _table_error(config, params, marks, n, seed):
+    """Monte-Carlo worker: one simulate-estimate-error cycle."""
     series = simulate_series(params, marks, n, seed=seed)
-    estimate = estimate_density(series, config)
-    return sup_error(estimate, marks)
+    return sup_error(estimate_density(series, config), marks)
 
 
 def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
@@ -154,11 +153,10 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
     the mark density with the calibrated settings of that size
     (`table_cutoff`, `table_renormalize`, the automatic bin width) and
     aggregates sup-norm errors against the true pdf on 2048 points of
-    [0, 30]. Run `r` uses the seed ``derive_seed(base_seed, 0, r)`` at every
-    sample size (common random numbers across tiers), so each report depends
-    only on `base_seed` and its own `n`, never on which other sizes were
-    requested. The result is deterministic given `base_seed`, independent of
-    `jobs`.
+    [0, 30]. Each size is its own one-size table on `simulate._monte_carlo`,
+    so run `r` has the same seed at every size (common random numbers across
+    tiers) and each report depends only on `base_seed` and its own `n`,
+    never on `jobs` or on which other sizes were requested.
 
     Parameters
     ----------
@@ -169,15 +167,13 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
         Monte-Carlo replicates per sample size, >= 2.
     base_seed : int
     jobs : int or None, optional
-        Worker processes; None uses every CPU this process may run on, and
-        1 runs inline.
+        Worker processes, as in `simulate._monte_carlo`.
 
     Returns
     -------
     list of McReport
     """
     runs = _check_count(runs, "runs", minimum=2)
-    jobs = _resolve_jobs(jobs)
     reports = []
     for n in n_list:
         n = _check_count(n, "n")
@@ -187,12 +183,10 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
             x_grid=_TABLE_X_GRID,
             renormalize=table_renormalize(n),
         )
-        tasks = [
-            (params, marks, n, derive_seed(base_seed, 0, run), config)
-            for run in range(runs)
-        ]
         start = time.perf_counter()
-        errors = _run_tasks(_one_table_error, tasks, jobs)
+        (errors,) = _monte_carlo(
+            partial(_table_error, config, params, marks), (n,), runs, base_seed, jobs
+        )
         elapsed = time.perf_counter() - start
         snapshot = {
             "params": asdict(params),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -31,7 +32,7 @@ from .errors import (
     checked_sample,
 )
 from .model import _BLOCK, true_shot_cf
-from .simulate import _resolve_jobs, _run_tasks, derive_seed, simulate_series
+from .simulate import _monte_carlo, simulate_series
 
 __all__ = [
     "Histogram",
@@ -77,10 +78,11 @@ class Histogram:
         mass = np.asarray(self.mass, dtype=float)
         if mass.ndim != 1:
             raise InvalidParameterError(f"mass must be a 1-d array, got {mass.ndim} dimensions")
-        if np.any(mass < 0):
+        # each check is written so that NaN fails it
+        if not np.all(mass >= 0):
             raise InvalidParameterError("mass must be nonnegative")
         total = float(mass.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise InvalidParameterError(f"mass must sum to 1, got {total!r}")
         mass = mass.copy()
         mass.setflags(write=False)
@@ -144,6 +146,11 @@ def build_histogram(sample, bin_width=None):
             f"sample range [{lo:g}, {hi:g}] at bin_width {width:g} gives bin indices "
             f"of 2**52 or more in magnitude, where float64 no longer holds the bin "
             f"center l + 1/2 exactly; shift or rescale the sample"
+        )
+    if not math.isfinite(max(abs(l_min + 0.5), abs(l_max + 0.5)) * width):
+        raise InvalidParameterError(
+            f"sample range [{lo:g}, {hi:g}] at bin_width {width:g} puts an end bin "
+            f"center (l + 1/2) * bin_width past the largest float; use a smaller bin_width"
         )
     nbins = l_max - l_min + 1
     if nbins > _SIZE_CAP:
@@ -213,13 +220,14 @@ class EcfGrid:
         if phi.shape != (size,) or dphi.shape != (size,):
             raise InvalidParameterError(f"phi and phi_prime must have length {size}")
         at_zero, modulus, symmetry, antisymmetry = _ecf_misses(phi, dphi)
-        if at_zero > _ECF_TOL:
+        # NaN fails each check
+        if not at_zero <= _ECF_TOL:
             raise InvalidParameterError(f"phi at u=0 must be 1, got {phi[half]!r}")
-        if modulus > _ECF_TOL:
+        if not modulus <= _ECF_TOL:
             raise InvalidParameterError("|phi| must not exceed 1")
-        if symmetry > _ECF_TOL:
+        if not symmetry <= _ECF_TOL:
             raise InvalidParameterError("phi must be conjugate-symmetric in u")
-        if antisymmetry > _ECF_TOL:
+        if not antisymmetry <= _ECF_TOL:
             raise InvalidParameterError("phi_prime must be conjugate-antisymmetric in u")
         phi = phi.copy()
         dphi = dphi.copy()
@@ -329,8 +337,9 @@ def ecf_from_histogram(hist, u_step, half_count):
     phase = np.exp(1j * u * hist.bin_width * (hist.l_min + 0.5))
     phi = base * phase
     dphi = dbase * phase
-    miss = max(_ecf_misses(phi, dphi))
-    if miss > _ECF_TOL:
+    # np.max keeps a NaN miss, which then fails the check
+    miss = float(np.max(_ecf_misses(phi, dphi)))
+    if not miss <= _ECF_TOL:
         raise NumericalFailure(
             f"the chirp-z ECF over {hist.mass.size} bins misses its exact values "
             f"by {miss:.3g} (tolerance {_ECF_TOL:g}); increase bin_width"
@@ -404,16 +413,10 @@ def _ecf_sup_gap(values, phi_true_half, u_step, half_count):
     return float(np.abs(ecf - phi_true_half).max())
 
 
-def _deviation_run(task):
-    """Worker: one run's sup gaps, one per sample size (picklable, pure)."""
-    params, marks, sizes_and_seeds, phi_true_half = task
-    return [
-        _ecf_sup_gap(
-            simulate_series(params, marks, n, seed=seed).values,
-            phi_true_half, _DEVIATION_U_STEP, _DEVIATION_HALF,
-        )
-        for n, seed in sizes_and_seeds
-    ]
+def _deviation_gap(phi_true_half, params, marks, n, seed):
+    """Monte-Carlo worker: one simulated series' sup gap to the oracle CF."""
+    values = simulate_series(params, marks, n, seed=seed).values
+    return _ecf_sup_gap(values, phi_true_half, _DEVIATION_U_STEP, _DEVIATION_HALF)
 
 
 def ecf_deviation(params, marks, n_list, runs, base_seed):
@@ -430,12 +433,8 @@ def ecf_deviation(params, marks, n_list, runs, base_seed):
     last place. The deviation values may therefore change in their last
     bits when the summation order changes; no CSV or JSON output holds them.
 
-    One task is one run: it simulates the run's series at every size (seed
-    ``derive_seed(base_seed, tier, run)``) and reduces each against the
-    oracle CF, which is computed once here. The tasks run on one worker
-    process per CPU this process may use (`run_table1`'s ``jobs=None``
-    rule; one usable CPU runs them inline, with no pool) and come back in
-    run order, so the table does not depend on the number of CPUs.
+    The oracle CF is computed once; the runs go to `simulate._monte_carlo`
+    with its default worker count, and the table does not depend on it.
 
     Parameters
     ----------
@@ -456,15 +455,11 @@ def ecf_deviation(params, marks, n_list, runs, base_seed):
     n_list = [_check_count(n, "n") for n in n_list]
     u_half = np.arange(_DEVIATION_HALF + 1) * _DEVIATION_U_STEP
     phi_true_half = np.asarray(true_shot_cf(params, marks, u_half))
-    tasks = [
-        (params, marks,
-         [(n, derive_seed(base_seed, tier, run)) for tier, n in enumerate(n_list)],
-         phi_true_half)
-        for run in range(runs)
-    ]
-    gaps = _run_tasks(_deviation_run, tasks, _resolve_jobs(None))
+    gaps = _monte_carlo(
+        partial(_deviation_gap, phi_true_half, params, marks), n_list, runs, base_seed
+    )
     out = []
-    for n, column in zip(n_list, zip(*gaps)):
+    for n, column in zip(n_list, gaps):
         sups = np.array(column)
         mean = float(sups.mean())
         se = float(sups.std(ddof=1) / math.sqrt(runs))

@@ -253,10 +253,11 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, diagnostics=None):
     Raises
     ------
     InvalidParameterError
-        If `mark_cf` holds a NaN or an infinity.
+        If `mark_cf` holds a NaN or an infinity, or if a phase ``x * u``
+        overflows on the grids.
     NumericalFailure
-        If the imaginary residual exceeds 1e-6; the clamped estimate is
-        attached as ``partial``.
+        If the imaginary residual is not below 1e-6 (NaN included); the
+        clamped estimate is attached as ``partial``.
     """
     values = np.asarray(mark_cf, dtype=complex)
     if values.ndim != 1 or values.size < 3 or values.size % 2 == 0:
@@ -281,6 +282,13 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, diagnostics=None):
         raise InvalidParameterError(
             f"u_step {step:g} too coarse for cutoff {cutoff:g}; need u_step <= cutoff/64"
         )
+    # the phases x * u and (x - start) * u reach 2 * reach * span
+    reach = max(abs(x_grid.start), abs(x_grid.start + x_grid.step * (x_grid.count - 1)))
+    if not math.isfinite(2.0 * reach * span):
+        raise InvalidParameterError(
+            f"x_grid reaches |x| = {reach:g}, where the inversion phase x * u at the "
+            f"frequency span {span:g} overflows; shift or rescale the x_grid"
+        )
     u = np.arange(-half, half + 1) * step
     inside = np.abs(u) <= cutoff * (1.0 + 1e-12)
     g = np.where(inside, values, 0.0)
@@ -295,9 +303,9 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, diagnostics=None):
     diag = dict(diagnostics or {})
     diag["imag_residual"] = imag_residual
     estimate = DensityEstimate(x_grid.values, theta, diag)
-    if imag_residual >= 1e-6:
+    if not imag_residual < 1e-6:
         raise NumericalFailure(
-            f"imaginary residual {imag_residual:g} of the inversion integral exceeds 1e-6",
+            f"imaginary residual {imag_residual:g} of the inversion integral is not below 1e-6",
             partial=estimate,
         )
     return estimate

@@ -13,11 +13,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import _SIZE_CAP, ResourceLimitError, _check_count, checked_sample
+from .errors import _SIZE_CAP, InvalidParameterError, ResourceLimitError, _check_count, checked_sample
 from .model import _BLOCK
 from .serialize import csv_text
 
@@ -108,19 +109,32 @@ def _resolve_jobs(jobs):
     return os.cpu_count() or 1
 
 
-def _run_tasks(worker, tasks, jobs):
-    """``[worker(t) for t in tasks]`` on up to `jobs` worker processes.
+def _one_run(worker, n_list, seeds):
+    """One Monte-Carlo run: `worker` at every size with that size's seed."""
+    return [worker(n, seed) for n, seed in zip(n_list, seeds)]
 
-    The results come back in task order, so they do not depend on `jobs`
-    when `worker` is pure. One worker runs inline, with no pool; under fork
-    a pool starts all its workers at its first task, so it gets no more
-    workers than tasks. Every worker has exited when this returns.
+
+def _monte_carlo(worker, n_list, runs, base_seed, jobs=None):
+    """Monte-Carlo table ``table[tier][run] = worker(n_list[tier], seed)``.
+
+    Run `run` at size ``n_list[tier]`` gets ``seed = derive_seed(base_seed,
+    tier, run)``. One task is one run at every size, on up to `jobs` worker
+    processes; None means every CPU this process may use. One worker runs
+    inline, with no pool; under fork a pool starts all its workers at its
+    first task, so it gets no more workers than tasks. The runs come back
+    in run order, so the table does not depend on `jobs` when `worker` is
+    pure (and picklable, for a pool). Every worker has exited when this
+    returns.
     """
-    workers = min(jobs, len(tasks))
+    workers = min(_resolve_jobs(jobs), runs)
+    task = partial(_one_run, worker, n_list)
+    seeds = [[derive_seed(base_seed, t, run) for t in range(len(n_list))] for run in range(runs)]
     if workers <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks, chunksize=1))
+        rows = [task(s) for s in seeds]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(task, seeds, chunksize=1))
+    return [list(column) for column in zip(*rows)]
 
 
 def sample_innovation(params, marks, rng):
@@ -275,6 +289,8 @@ def simulate_series(params, marks, n, burn_in=None, seed=0):
     ------
     ResourceLimitError
         When ``n + burn_in`` exceeds the size cap, before anything is allocated.
+    InvalidParameterError
+        When the marks or their sums overflow the float range.
     """
     n = _check_count(n, "n")
     if burn_in is None:
@@ -288,10 +304,19 @@ def simulate_series(params, marks, n, burn_in=None, seed=0):
         )
     seed = _check_seed(seed)
     rng = np.random.default_rng(seed)
-    innov = _innovations(params, marks, n + burn_in, rng)
-    decay = math.exp(-params.alpha_norm)
-    path = lfilter([1.0], [1.0, -decay], innov)
-    return SampleSeries(path[burn_in:], burn_in)
+    # an overflow leaves an infinity or NaN in the series, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        innov = _innovations(params, marks, n + burn_in, rng)
+        decay = math.exp(-params.alpha_norm)
+        path = lfilter([1.0], [1.0, -decay], innov)
+    try:
+        return SampleSeries(path[burn_in:], burn_in)
+    except InvalidParameterError:
+        # the values are nonempty and 1-d, so only a non-finite one fails
+        raise InvalidParameterError(
+            "the simulated series overflows the float range (a mark or a sum of "
+            "marks is not finite); rescale the marks to a smaller unit"
+        ) from None
 
 
 def series_to_csv(series):

@@ -17,7 +17,6 @@ import pytest
 from scipy import stats
 
 from shotdeconv.bench import (
-    _resolve_jobs,
     loglog_slope,
     per_run_errors_to_csv,
     reports_to_csv,
@@ -42,7 +41,7 @@ from shotdeconv.model import (
     true_shot_cf,
 )
 from shotdeconv.serialize import dumps_json
-from shotdeconv.simulate import simulate_series
+from shotdeconv.simulate import _resolve_jobs, simulate_series
 
 REF_PARAMS = ModelParams(100.0, 80.0, 1.25)
 REF_MARKS = GaussianMixture((0.3, 0.5, 0.2), (4.0, 12.0, 22.0), (1.0, 1.0, 0.5))

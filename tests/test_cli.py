@@ -337,6 +337,21 @@ class TestSimulate:
         assert err.startswith("error: ") and f"cap of {2**28} simulated intervals" in err
         assert not out.exists()
 
+    def test_overflowing_marks_exit_2(self, tmp_path, capsys):
+        # sd * z + mu overflows: an input error naming the remedy, with no warning
+        marks = {"type": "gaussian_mixture", "weights": [1.0], "means": [1e308], "sds": [1e308]}
+        config = _gamma_config(tmp_path, marks=marks)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["simulate", "--config", str(config), "--out", str(out), *_run(100)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the simulated series overflows the float range (a mark or a sum of "
+            "marks is not finite); rescale the marks to a smaller unit\n"
+        )
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_writes_estimate_and_diagnostics(self, tmp_path):
@@ -378,6 +393,23 @@ class TestEstimate:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: x_grid last point start + step * (count - 1) = inf is not finite\n"
+        )
+        assert not out.exists()
+
+    def test_overflowing_x_phase_exits_2(self, tmp_path, capsys):
+        # every point is finite, but x * u overflows at the cutoff: refused
+        # before any NaN reaches the output, with no warning
+        grid = {"start": 1e308, "step": 1.0, "count": 3}
+        config = _gamma_config(tmp_path, estimator={"cutoff": 2.0, "x_grid": grid})
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["estimate", "--config", str(config), *_series(tmp_path),
+                             "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: x_grid reaches |x| = 1e+308, where the inversion phase x * u at the "
+            "frequency span 2 overflows; shift or rescale the x_grid\n"
         )
         assert not out.exists()
 

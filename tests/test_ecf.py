@@ -19,6 +19,7 @@ from shotdeconv.ecf import (
     _ecf_sup_gap,
 )
 from shotdeconv.errors import InvalidParameterError, ResourceLimitError
+from shotdeconv.estimator import EstimatorConfig, estimate_density
 from shotdeconv.model import _BLOCK, Exponential, ModelParams, PointMass
 
 finite_floats = st.floats(
@@ -147,6 +148,16 @@ class TestBuildHistogram:
         assert "pass a bin_width or rescale the sample" in message
         assert "bin_width must be > 0" not in message
 
+    def test_end_bin_center_past_largest_float(self):
+        # the top bin's center (1 + 1/2) * 1.5e308 overflows: refused by the
+        # histogram with no warning, before the ECF derivative sees an infinity
+        values = np.array([1e307, 1.7e308, 5e307])
+        with pytest.raises(InvalidParameterError, match="use a smaller bin_width$"):
+            build_histogram(values, 1.5e308)
+        config = EstimatorConfig(ratio=2.0, cutoff=1e-308, bin_width=1.5e308)
+        with pytest.raises(InvalidParameterError, match="bin center .* bin_width"):
+            estimate_density(values, config)
+
 
 
 def _one_shot_mass(values, hist):
@@ -215,8 +226,10 @@ class TestHistogramType:
     @pytest.mark.parametrize(
         "mass, message",
         [([[0.5, 0.5]], "mass must be a 1-d array, got 2 dimensions"),
-         ([1.5, -0.5], "mass must be nonnegative")],
-        ids=["2-d", "negative"],
+         ([1.5, -0.5], "mass must be nonnegative"),
+         ([np.nan], "mass must be nonnegative"),
+         ([0.5, np.nan, 0.5], "mass must be nonnegative")],
+        ids=["2-d", "negative", "nan", "nan-among-valid"],
     )
     def test_mass_shape_and_sign(self, mass, message):
         with pytest.raises(InvalidParameterError, match=f"^{message}$"):
@@ -319,6 +332,11 @@ class TestEcfGridType:
             dphi = dphi + [0.0]
         with pytest.raises(InvalidParameterError, match="^phi and phi_prime must have length 3$"):
             self._mk(phi, dphi)
+
+    def test_nan_fails_the_tolerance_checks(self):
+        # phi(0) = 1 holds, and NaN elsewhere must not pass |phi| <= 1
+        with pytest.raises(InvalidParameterError, match="exceed 1"):
+            EcfGrid(0.1, 1, [np.nan, 1.0, np.nan], np.zeros(3))
 
     def test_valid_grid(self):
         grid = self._mk([0.5 - 0.1j, 1.0, 0.5 + 0.1j], [0.2j, 1.0j, 0.2j])

@@ -243,6 +243,18 @@ class TestInvertDensity:
         with pytest.raises(InvalidParameterError, match="finite"):
             invert_density(phi, 0.01, 0.64, XGrid(0.0, 0.1, 11))
 
+    def test_overflowing_x_phase_rejected(self):
+        # every grid point is finite, but x * u overflows at the cutoff
+        with pytest.raises(InvalidParameterError, match="phase x \\* u .* overflows"):
+            invert_density(np.ones(129, complex), 0.01, 0.64, XGrid(1e308, 1.0, 3))
+
+    def test_nan_residual_is_a_numerical_failure(self):
+        # finite mark CF values whose sums overflow give a NaN residual
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure, match="residual nan") as excinfo:
+                invert_density(np.full(129, 1e308 + 1e308j), 0.01, 0.64, XGrid(0.0, 0.1, 11))
+        assert math.isnan(excinfo.value.partial.diagnostics["imag_residual"])
+
     def test_x_grid_count_past_fft_cap_fails_before_allocating(self):
         # 65 inputs to _SIZE_CAP outputs need an FFT of at least _SIZE_CAP + 64
         # points; the check runs before any array of that size exists

@@ -4,7 +4,7 @@ The order is errors -> serialize -> model -> simulate -> ecf -> estimator
 -> bench -> cli. The package ``__init__`` re-exports names of several layers and is
 exempt; ``cli`` may import ``__version__`` from it. The last tests check the
 names the benchmark's tracer wraps from outside the package, and the command
-lines the benchmark sends.
+lines the benchmark sends, and that one runner owns the Monte-Carlo pool.
 """
 
 import ast
@@ -106,3 +106,21 @@ def test_benchmark_command_lines_run(tmp_path, capsys, config_name, fmt, command
     if command == "estimate":
         argv += ["--out", str(tmp_path / "estimate")]
     assert cli.main(argv) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["ecf", "bench"])
+def test_monte_carlo_callers_use_the_one_runner(module):
+    # the runner alone derives Monte-Carlo seeds, resolves jobs and pools
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "simulate"
+        for alias in node.names
+    }
+    assert names == {"_monte_carlo", "simulate_series"}
+
+
+def test_only_simulate_names_the_process_pool():
+    naming = [p.name for p in PACKAGE.glob("*.py") if "ProcessPoolExecutor" in p.read_text()]
+    assert naming == ["simulate.py"]

@@ -13,7 +13,7 @@ from shotdeconv.simulate import (
     _innovations,
     _innovations_by_interval,
     _innovations_by_position,
-    _run_tasks,
+    _monte_carlo,
     default_burn_in,
     derive_seed,
     sample_innovation,
@@ -63,10 +63,38 @@ class TestDeriveSeed:
             derive_seed(-1, 0)
 
 
-class TestRunTasks:
-    def test_pool_keeps_task_order_and_leaves_no_worker(self):
-        assert _run_tasks(abs, [-3, -1, -2], 2) == [3, 1, 2]
+def _size_and_seed(n, seed):
+    """Monte-Carlo worker that returns its arguments (picklable)."""
+    return n, seed
+
+
+class TestMonteCarlo:
+    N_LIST = (5, 7, 11)
+
+    def test_table_is_tier_by_run_with_derived_seeds(self):
+        table = _monte_carlo(_size_and_seed, self.N_LIST, 4, 2024, jobs=1)
+        assert table == [
+            [(n, derive_seed(2024, tier, run)) for run in range(4)]
+            for tier, n in enumerate(self.N_LIST)
+        ]
+
+    def test_pool_equals_inline_and_leaves_no_worker(self):
+        inline = _monte_carlo(_size_and_seed, self.N_LIST, 5, 3, jobs=1)
+        assert _monte_carlo(_size_and_seed, self.N_LIST, 5, 3, jobs=2) == inline
         assert multiprocessing.active_children() == []
+
+    def test_one_size_table_is_the_common_random_numbers_rule(self):
+        # a one-size table gives run r the seed derive_seed(base, 0, r) at any size
+        small = _monte_carlo(_size_and_seed, (5,), 3, 9, jobs=1)
+        large = _monte_carlo(_size_and_seed, (500,), 3, 9, jobs=1)
+        assert [seed for _, seed in small[0]] == [seed for _, seed in large[0]]
+        assert [seed for _, seed in small[0]] == [derive_seed(9, 0, r) for r in range(3)]
+
+    def test_rejects_bad_base_seed_before_any_worker_runs(self):
+        calls = []
+        with pytest.raises(InvalidParameterError, match="seed"):
+            _monte_carlo(lambda n, seed: calls.append(n), (5,), 2, -1, jobs=1)
+        assert calls == []
 
 
 class TestSampleInnovation:
