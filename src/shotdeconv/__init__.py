@@ -8,6 +8,10 @@ pipeline with reproducible, golden-file-stable outputs.
 
 The package root re-exports the names of the README examples and the three
 error classes; everything else is imported from its own module.
+
+Importing the package loads numpy alone. scipy is imported inside the
+functions that run its primitives (`lfilter`, `CZT`, quadrature), so a
+process pays for it only when it first simulates, transforms or integrates.
 """
 
 __version__ = "0.1.0"

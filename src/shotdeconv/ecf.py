@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.signal import CZT
 
 from .errors import (
     _SIZE_CAP,
@@ -286,6 +284,9 @@ def _czt_plan(n, m, w, a, remedy):
     Refuses a plan whose internal FFT would exceed the size cap before
     anything of that size exists; `remedy` tells the user what to change.
     """
+    from scipy.fft import next_fast_len
+    from scipy.signal import CZT
+
     fft_len = next_fast_len(n + m - 1, real=False)
     if fft_len > _SIZE_CAP:
         raise ResourceLimitError(
@@ -316,6 +317,9 @@ def ecf_from_histogram(hist, u_step, half_count):
 
     Raises
     ------
+    InvalidParameterError
+        If the grid end ``half_count * u_step`` or its phase
+        ``u * bin_width * (l_min + 1/2)`` is not finite.
     ResourceLimitError
         If the internal FFT length would exceed the size cap.
     NumericalFailure
@@ -326,6 +330,14 @@ def ecf_from_histogram(hist, u_step, half_count):
     step = _check_number(u_step, "u_step", gt=0)
     half = _check_count(half_count, "half_count")
     omega = step * hist.bin_width
+    # the end phase overflows whenever the grid end half * step does
+    end_phase = half * step * hist.bin_width * (hist.l_min + 0.5)
+    if not (math.isfinite(omega * half) and math.isfinite(end_phase)):
+        raise InvalidParameterError(
+            f"u_step = {step:g} and half_count = {half} put the grid end "
+            f"half_count * u_step or its phase u * bin_width * (l_min + 1/2) past "
+            f"the largest float; use a smaller u_step or half_count"
+        )
     # one plan serves both transforms
     transform = _czt_plan(
         hist.mass.size, 2 * half + 1, np.exp(1j * omega), np.exp(1j * omega * half),

@@ -14,7 +14,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InvalidParameterError, NumericalFailure, _check_number
 
@@ -156,6 +155,7 @@ class GaussianMixture:
     def abs_moment(self, order):
         """E|Y|^order by numeric integration."""
         order = _check_number(order, "order", ge=0)
+        from scipy import integrate
 
         def integrand(y):
             return abs(y) ** order * self.pdf(y)
@@ -321,6 +321,7 @@ def true_shot_cf(params, marks, u):
     if u_flat.size == 0:
         return np.empty(u_arr.shape, dtype=complex)
     u_abs, where = np.unique(np.abs(u_flat), return_inverse=True)
+    from scipy import integrate
 
     def integrand(t):
         return (marks.cf(t * u_abs) - 1.0) / t
@@ -375,6 +376,7 @@ def mark_sobolev_norm(marks, s):
             f"Sobolev integral diverges for exponential marks when s >= 1/2 (got s={s}); "
             "the integrand decays only like u^(2s-2)"
         )
+    from scipy import integrate
 
     def integrand(v):
         c = marks.cf(v)
@@ -392,6 +394,7 @@ def mark_cf_tail_energy(marks):
     """
     if isinstance(marks, PointMass):
         raise InvalidParameterError("tail integral diverges for a point mass")
+    from scipy import integrate
 
     def integrand(v):
         return marks.cf(v).real ** 2

@@ -29,20 +29,25 @@ def csv_text(header, *columns):
     """CSV text: the `header` line, then one line per row of the equal-length `columns`.
 
     An integer column prints its integers; any other column is read as
-    floats, each printed as `format_float` prints it.
+    floats, each printed as `format_float` prints it. All rows are printed
+    by one ``%`` format over the cells in row order, which spells every
+    float as ``format`` does.
     """
     cells = []
     specs = []
     for column in columns:
         values = np.asarray(column)
         if values.dtype.kind in "iu":
-            specs.append("{}")
+            specs.append("%d")
         else:
             values = values.astype(float, copy=False)
-            specs.append("{:" + _FLOAT_FORMAT + "}")
+            specs.append("%" + _FLOAT_FORMAT)
         cells.append(values.tolist())
-    row = ",".join(specs).format
-    return "\n".join([header, *map(row, *cells)]) + "\n"
+    rows = len(cells[0]) if cells else 0
+    flat = [None] * (rows * len(cells))
+    for k, column in enumerate(cells):
+        flat[k :: len(cells)] = column
+    return header + "\n" + (",".join(specs) + "\n") * rows % tuple(flat)
 
 
 def _emit(obj, indent, out):

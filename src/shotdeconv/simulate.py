@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import _SIZE_CAP, InvalidParameterError, ResourceLimitError, _check_count, checked_sample
 from .model import _BLOCK
@@ -42,6 +41,12 @@ _POSITION_BELOW = 16.0
 _POSITION_CHUNK = 4096
 
 _SEED_MAX = 2**64
+
+# the refusal of marks whose draws or sums leave the float range
+_OVERFLOW_MESSAGE = (
+    "the simulated series overflows the float range (a mark or a sum of "
+    "marks is not finite); rescale the marks to a smaller unit"
+)
 
 
 def _check_seed(seed):
@@ -132,6 +137,10 @@ def _monte_carlo(worker, n_list, runs, base_seed, jobs=None):
     if workers <= 1:
         rows = [task(s) for s in seeds]
     else:
+        # import scipy.signal before the fork, so that no worker imports it
+        # again; it is the largest import of any worker
+        import scipy.signal  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(task, seeds, chunksize=1))
     return [list(column) for column in zip(*rows)]
@@ -153,13 +162,23 @@ def sample_innovation(params, marks, rng):
     Returns
     -------
     float
+
+    Raises
+    ------
+    InvalidParameterError
+        When the marks or their sum overflow the float range.
     """
     count = int(rng.poisson(params.lambda_norm))
     if count == 0:
         return 0.0
-    amplitudes = marks.sample(rng, count)
-    ages = rng.random(count)
-    return float(np.sum(amplitudes * np.exp(-params.alpha_norm * ages)))
+    # an overflow gives an infinity or NaN, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitudes = marks.sample(rng, count)
+        ages = rng.random(count)
+        value = float(np.sum(amplitudes * np.exp(-params.alpha_norm * ages)))
+    if not math.isfinite(value):
+        raise InvalidParameterError(_OVERFLOW_MESSAGE)
+    return value
 
 
 def _innovations(params, marks, count, rng):
@@ -303,6 +322,8 @@ def simulate_series(params, marks, n, burn_in=None, seed=0):
             f"alpha*delta for a shorter burn-in"
         )
     seed = _check_seed(seed)
+    from scipy.signal import lfilter
+
     rng = np.random.default_rng(seed)
     # an overflow leaves an infinity or NaN in the series, refused below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -313,10 +334,7 @@ def simulate_series(params, marks, n, burn_in=None, seed=0):
         return SampleSeries(path[burn_in:], burn_in)
     except InvalidParameterError:
         # the values are nonempty and 1-d, so only a non-finite one fails
-        raise InvalidParameterError(
-            "the simulated series overflows the float range (a mark or a sum of "
-            "marks is not finite); rescale the marks to a smaller unit"
-        ) from None
+        raise InvalidParameterError(_OVERFLOW_MESSAGE) from None
 
 
 def series_to_csv(series):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,21 @@ class TestEcfFromHistogram:
         hist = build_histogram(np.array([0.5]), 1.0)
         with pytest.raises(ResourceLimitError, match="FFT"):
             ecf_from_histogram(hist, 1e-9, 2**27 + 1)
+
+    @pytest.mark.parametrize(
+        "hist, u_step",
+        [
+            # the grid end 2 * u_step overflows
+            (build_histogram([1.0, 2.0, 3.0], 0.5), 1e308),
+            # the grid end is finite, its phase u * bin_width * (l_min + 1/2) is not
+            (Histogram(0.5, 10**15, [1.0]), 1e307),
+        ],
+    )
+    def test_nonfinite_grid_is_an_input_error(self, hist, u_step):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="u_step = .* and half_count = 2 "):
+                ecf_from_histogram(hist, u_step, 2)
 
     def test_invalid_args(self):
         hist = build_histogram(np.array([0.5]), 1.0)

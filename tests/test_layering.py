@@ -5,17 +5,24 @@ The order is errors -> serialize -> model -> simulate -> ecf -> estimator
 exempt; ``cli`` may import ``__version__`` from it. The last tests check the
 names the benchmark's tracer wraps from outside the package, and the command
 lines the benchmark sends, and that one runner owns the Monte-Carlo pool.
+The package imports scipy only where a scipy primitive runs; the last two
+tests check which processes load it.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shotdeconv import cli
+from shotdeconv.serialize import csv_text
 
 ORDER = ["errors", "serialize", "model", "simulate", "ecf", "estimator", "bench", "cli"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -124,3 +131,55 @@ def test_monte_carlo_callers_use_the_one_runner(module):
 def test_only_simulate_names_the_process_pool():
     naming = [p.name for p in PACKAGE.glob("*.py") if "ProcessPoolExecutor" in p.read_text()]
     assert naming == ["simulate.py"]
+
+
+# the scipy modules that the package imports or that they pull in
+_SCIPY_HEAVY = ("scipy.signal", "scipy.fft", "scipy.integrate", "scipy.stats")
+
+
+def _run_python(code, *args):
+    """Run `code` in a fresh interpreter that imports the package from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_loads_no_scipy_until_a_primitive_runs(tmp_path):
+    # hill reads a series and sorts it, and an input error stops before any
+    # transform: neither process should pay for scipy's import
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_perfbench("workloads").GAMMA_CONFIG), encoding="utf-8")
+    series = tmp_path / "series.csv"
+    values = np.random.default_rng(0).gamma(2.0, 1.0, 300)
+    series.write_text(csv_text("index,value", np.arange(1, 301), values), encoding="utf-8")
+    code = """
+import json, sys
+from shotdeconv import cli
+config, series, missing = sys.argv[1:]
+codes = [cli.main(["hill", "--config", config, "--in", series]),
+         cli.main(["estimate", "--config", config, "--in", missing])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+    out = _run_python(code, config, series, tmp_path / "missing.f64le")
+    codes, loaded = json.loads(out.splitlines()[-1])
+    assert codes == [0, 2]
+    assert not [name for name in loaded if name.startswith(_SCIPY_HEAVY)], loaded
+
+
+def test_pooled_workers_inherit_scipy_signal():
+    # the runner imports scipy.signal before its pool forks, so no worker
+    # imports it again; this worker only reports whether it is loaded
+    code = """
+import sys
+from shotdeconv.simulate import _monte_carlo
+
+def loaded(n, seed):
+    return "scipy.signal" in sys.modules
+
+if __name__ == "__main__":
+    print(_monte_carlo(loaded, (1, 2), 4, 0, jobs=2))
+"""
+    assert _run_python(code).splitlines()[-1] == str([[True] * 4] * 2)

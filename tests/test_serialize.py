@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -45,6 +46,27 @@ class TestCsvText:
             f"{i},{format_float(x)},{format_float(y)}\n" for i, x, y in zip(ints, floats, singles)
         )
         assert csv_text("a,b,c", ints, floats, singles) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.floats()
+            | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                               2.2250738585072014e-308, 1.7976931348623157e308]),
+            max_size=200,
+        )
+    )
+    def test_each_cell_is_format_float(self, values):
+        # the one-format route against format_float, value by value
+        lines = csv_text("v", values).split("\n")
+        assert lines[0] == "v" and lines[-1] == ""
+        assert lines[1:-1] == [format_float(x) for x in values]
+
+    def test_integer_extremes(self):
+        ints = np.array([0, 2**64 - 1], dtype=np.uint64)
+        assert csv_text("i,v", ints, [1.0, -2.0]) == "i,v\n0,1\n18446744073709551615,-2\n"
+        ints = np.array([-(2**63), 2**63 - 1])
+        assert csv_text("i", ints) == "i\n-9223372036854775808\n9223372036854775807\n"
 
     def test_header_only(self):
         assert csv_text("x,y", [], np.empty(0)) == "x,y\n"

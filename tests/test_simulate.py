@@ -1,6 +1,7 @@
 import hashlib
 import math
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,20 @@ class TestSampleInnovation:
         for _ in range(200):
             w = sample_innovation(params, PointMass(2.0), rng)
             assert w >= 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_overflowing_marks_refused(self, seed):
+        # sd * z + mu overflows: the simulator's refusal, with no warning
+        marks = GaussianMixture((1.0,), (1e308,), (1e308,))
+        rng = np.random.default_rng(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError) as refused:
+                sample_innovation(ModelParams(5.0, 1.0, 5.0), marks, rng)
+            with pytest.raises(InvalidParameterError) as simulated:
+                simulate_series(ModelParams(5.0, 1.0, 5.0), marks, 10, seed=seed)
+        assert str(refused.value) == str(simulated.value)
+        assert "overflows the float range" in str(refused.value)
 
 
 class TestSimulateSeries:
