@@ -268,10 +268,6 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, diagnostics=None):
     cutoff = _check_number(cutoff, "cutoff", gt=0)
     if not isinstance(x_grid, XGrid):
         raise InvalidParameterError("x_grid must be an XGrid")
-    omega = x_grid.step * step
-    transform = _czt_plan(
-        values.size, x_grid.count, np.exp(-1j * omega), 1.0 + 0.0j, "reduce the x_grid count"
-    )
     half = (values.size - 1) // 2
     span = half * step
     if span < cutoff * (1.0 - 1e-12):
@@ -289,6 +285,10 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, diagnostics=None):
             f"x_grid reaches |x| = {reach:g}, where the inversion phase x * u at the "
             f"frequency span {span:g} overflows; shift or rescale the x_grid"
         )
+    omega = x_grid.step * step
+    transform = _czt_plan(
+        values.size, x_grid.count, np.exp(-1j * omega), 1.0 + 0.0j, "reduce the x_grid count"
+    )
     u = np.arange(-half, half + 1) * step
     inside = np.abs(u) <= cutoff * (1.0 + 1e-12)
     g = np.where(inside, values, 0.0)

@@ -256,13 +256,14 @@ class TestInvertDensity:
         assert math.isnan(excinfo.value.partial.diagnostics["imag_residual"])
 
     def test_x_grid_count_past_fft_cap_fails_before_allocating(self):
-        # 65 inputs to _SIZE_CAP outputs need an FFT of at least _SIZE_CAP + 64
-        # points; the check runs before any array of that size exists
+        # 129 inputs to _SIZE_CAP outputs need an FFT of at least _SIZE_CAP + 128
+        # points; the check runs before any array of that size exists. The grid
+        # spans the cutoff at the finest step, so only the size is refused
         x_grid = XGrid(0.0, 0.1, _SIZE_CAP)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="FFT.*x_grid count"):
-                invert_density(np.ones(65, complex), 0.01, 0.64, x_grid)
+                invert_density(np.ones(129, complex), 0.01, 0.64, x_grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

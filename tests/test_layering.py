@@ -5,7 +5,7 @@ The order is errors -> serialize -> model -> simulate -> ecf -> estimator
 exempt; ``cli`` may import ``__version__`` from it. The last tests check the
 names the benchmark's tracer wraps from outside the package, and the command
 lines the benchmark sends, and that one runner owns the Monte-Carlo pool.
-The package imports scipy only where a scipy primitive runs; the last two
+The package imports scipy only where a scipy primitive runs; the last three
 tests check which processes load it.
 """
 
@@ -148,24 +148,56 @@ def _run_python(code, *args):
 
 
 def test_cli_loads_no_scipy_until_a_primitive_runs(tmp_path):
-    # hill reads a series and sorts it, and an input error stops before any
-    # transform: neither process should pay for scipy's import
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(_perfbench("workloads").GAMMA_CONFIG), encoding="utf-8")
+    # hill reads a series and sorts it, an input error stops before any
+    # transform, and the reference model's series skips the AR(1) filter (its
+    # decay e**-80 changes no bit): none of them should pay for scipy's
+    # import. The Gamma model's series (decay e**-1) is filtered.
+    workloads = _perfbench("workloads")
+    configs = {}
+    for name in ("REF_CONFIG", "GAMMA_CONFIG"):
+        configs[name] = tmp_path / f"{name}.json"
+        configs[name].write_text(json.dumps(getattr(workloads, name)), encoding="utf-8")
     series = tmp_path / "series.csv"
     values = np.random.default_rng(0).gamma(2.0, 1.0, 300)
     series.write_text(csv_text("index,value", np.arange(1, 301), values), encoding="utf-8")
     code = """
 import json, sys
 from shotdeconv import cli
-config, series, missing = sys.argv[1:]
-codes = [cli.main(["hill", "--config", config, "--in", series]),
-         cli.main(["estimate", "--config", config, "--in", missing])]
-print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+ref, gamma, series, missing, out = sys.argv[1:]
+def scipy():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+simulate = ["simulate", "--n", "2000", "--seed", "3", "--format", "f64le", "--out", out]
+codes = [cli.main(["hill", "--config", gamma, "--in", series]),
+         cli.main(["estimate", "--config", gamma, "--in", missing]),
+         cli.main([*simulate, "--config", ref])]
+before = scipy()
+codes.append(cli.main([*simulate, "--config", gamma]))
+print(json.dumps([codes, before, scipy()]))
 """
-    out = _run_python(code, config, series, tmp_path / "missing.f64le")
-    codes, loaded = json.loads(out.splitlines()[-1])
-    assert codes == [0, 2]
+    out = _run_python(code, configs["REF_CONFIG"], configs["GAMMA_CONFIG"], series,
+                      tmp_path / "missing.f64le", tmp_path / "out")
+    codes, loaded, after_gamma = json.loads(out.splitlines()[-1])
+    assert codes == [0, 2, 0, 0]
+    assert not [name for name in loaded if name.startswith(_SCIPY_HEAVY)], loaded
+    assert "scipy.signal" in after_gamma
+
+
+def test_refused_inversion_loads_no_scipy():
+    # a frequency grid that does not span the cutoff is refused before the
+    # chirp-z plan, so the refusal does not import scipy.signal
+    code = """
+import json, sys
+import numpy as np
+from shotdeconv.errors import InvalidParameterError
+from shotdeconv.estimator import XGrid, invert_density
+try:
+    invert_density(np.ones(5, complex), 0.01, 2.0, XGrid(0.0, 0.1, 10))
+except InvalidParameterError as exc:
+    message = str(exc)
+print(json.dumps([message, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+    message, loaded = json.loads(_run_python(code).splitlines()[-1])
+    assert "below cutoff" in message
     assert not [name for name in loaded if name.startswith(_SCIPY_HEAVY)], loaded
 
 

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 from scipy.stats import ks_2samp
 
 from shotdeconv.errors import InvalidParameterError, ResourceLimitError
@@ -279,6 +280,46 @@ def _sha256(values):
 
 _REF_MARKS = GaussianMixture((0.3, 0.5, 0.2), (4.0, 12.0, 22.0), (1.0, 1.0, 0.5))
 _ZERO_WEIGHT_MARKS = GaussianMixture((0.4, 0.0, 0.6), (2.0, 7.0, 5.0), (0.5, 1.0, 2.0))
+
+
+class TestFilterSkip:
+    """The series against its reference: the AR(1) filter of the innovations.
+
+    `simulate_series` returns the innovations unfiltered when the filter
+    would change no bit. Whether it does is recorded per model: a model
+    that carries needs the filter, and a series that skipped it would fail.
+    """
+
+    @pytest.mark.parametrize(
+        "params, marks, carries",
+        [
+            (ModelParams(100.0, 80.0, 1.25), _REF_MARKS, False),
+            (ModelParams(100.0, 80.0, 1.25), PointMass(1e-300), False),
+            (ModelParams(50.0, 50.0, 1.0), PointMass(2.0), False),
+            # innovations near 0 keep some carried values
+            (
+                ModelParams(60.0, 40.0, 1.5),
+                GaussianMixture((0.5, 0.5), (-3.0, 3.0), (1.0, 1.0)),
+                True,
+            ),
+            # an interval with no pulse after one that had some carries a tiny value
+            (ModelParams(0.5, 50.0, 0.01), Exponential(1.0), True),
+            # decay just under the gate
+            (ModelParams(37.0, 37.0, 1.0), Exponential(1.0), True),
+            # decay e**-1, above the gate
+            (ModelParams(2.0, 1.0, 2.0), Exponential(1.0), True),
+        ],
+        ids=["reference", "tiny-marks", "point-mass", "signed", "empty-intervals", "gate", "gamma"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_filtered_innovations(self, params, marks, carries, seed):
+        n = 20_000
+        burn_in = default_burn_in(params)
+        innov = _innovations(params, marks, n + burn_in, np.random.default_rng(seed))
+        want = lfilter([1.0], [1.0, -math.exp(-params.alpha_norm)], innov)[burn_in:]
+        got = simulate_series(params, marks, n, seed=seed).values
+        assert got.tobytes() == want.tobytes()
+        assert (want.tobytes() != innov[burn_in:].tobytes()) == carries
 
 
 class TestStreamPinning:
