@@ -206,6 +206,11 @@ def mark_cf_estimate(grid, ratio, kappa):
     (ndarray of complex, dict)
         Values on ``grid.u``, and diagnostics with keys
         ``fraction_thresholded`` and ``min_abs_ecf``.
+
+    Raises
+    ------
+    InvalidParameterError
+        If a kept ratio term overflows the float range (a tiny `ratio`).
     """
     if not isinstance(grid, EcfGrid):
         raise InvalidParameterError("grid must be an EcfGrid")
@@ -215,8 +220,15 @@ def mark_cf_estimate(grid, ratio, kappa):
     abs_phi = np.abs(grid.phi)
     keep = abs_phi > kappa
     values = np.ones(u.size, dtype=complex)
-    np.divide(grid.phi_prime, grid.phi, out=values, where=keep)
-    values = np.where(keep, 1.0 + (u / ratio) * values, 1.0 + 0.0j)
+    # an overflow gives an infinity or NaN, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(grid.phi_prime, grid.phi, out=values, where=keep)
+        values = np.where(keep, 1.0 + (u / ratio) * values, 1.0 + 0.0j)
+    if not np.isfinite(values).all():
+        raise InvalidParameterError(
+            f"the ratio term u * phi_prime / (ratio * phi) overflows the float range at "
+            f"ratio = {ratio:g} and kappa = {kappa:g}; use a larger ratio, or rescale the sample"
+        )
     diagnostics = {
         "fraction_thresholded": float(1.0 - keep.mean()),
         "min_abs_ecf": float(abs_phi.min()),
@@ -323,34 +335,26 @@ def _histogram_quantile(values, hist, q):
     The histogram of `values` shows which bin the order statistics at and
     above rank ``floor((n - 1) q)`` start in; only the values from one bin
     below it up are selected and partitioned, about ``(1 - q) n`` of them.
-    Interpolation repeats numpy's arithmetic, so the result equals numpy's
-    bit for bit, up to the sign of a zero.
+    Interpolation repeats numpy's arithmetic, the upper neighbour capped at
+    the largest value as in numpy, so the result equals numpy's bit for bit,
+    up to the sign of a zero.
     """
     n = values.size
     virtual = (n - 1) * q
-    at_max = virtual >= n - 1
-    top_rank = n - 1 if at_max else math.floor(virtual)
-    need = n - top_rank
+    low = math.floor(virtual)
+    high = min(low + 1, n - 1)
     counts_from_top = np.cumsum(np.rint(hist.mass[::-1] * n))
-    # one bin of margin covers values that division and multiplication round
-    # across a bin edge
-    first_bin = hist.mass.size - 2 - int(np.searchsorted(counts_from_top, need))
+    # one bin of margin covers the rounding of x / w and l * w at every bin
+    # index below 2**52, which `build_histogram` ensures
+    first_bin = hist.mass.size - 2 - int(np.searchsorted(counts_from_top, n - low))
     top = values
     if first_bin > 0:
         top = values[values >= (hist.l_min + first_bin) * hist.bin_width]
-        if top.size < need:
-            # bin indices past 2**52 round by more than the margin
-            top = values
     offset = top.size - n
-    if at_max:
-        # numpy takes the maximum for both neighbours, with weight virtual + 1
-        a = b = float(top.max())
-        t = virtual + 1.0
-    else:
-        part = np.partition(top, (top_rank + offset, top_rank + 1 + offset))
-        a = float(part[top_rank + offset])
-        b = float(part[top_rank + 1 + offset])
-        t = virtual - top_rank
+    part = np.partition(top, (low + offset, high + offset))
+    a = float(part[low + offset])
+    b = float(part[high + offset])
+    t = virtual - low
     diff = b - a
     return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
@@ -379,6 +383,12 @@ def estimate_density(sample, config):
     Returns
     -------
     DensityEstimate
+
+    Raises
+    ------
+    InvalidParameterError
+        Among others, if the cutoff is so small that its frequency step
+        ``cutoff / 1024`` underflows to 0.
     """
     if not isinstance(config, EstimatorConfig):
         raise InvalidParameterError("config must be an EstimatorConfig")
@@ -393,6 +403,13 @@ def estimate_density(sample, config):
             "pass a smaller bin_width"
         )
     u_step = config.cutoff / _INVERSION_POINTS
+    if u_step == 0.0:
+        # a quotient of half the smallest subnormal or less rounds to 0
+        raise InvalidParameterError(
+            f"cutoff {config.cutoff!r} is too small: its frequency step "
+            f"cutoff/{_INVERSION_POINTS} underflows to 0; use a cutoff above "
+            f"{_INVERSION_POINTS * 5e-324 / 2!r}"
+        )
     grid = ecf_from_histogram(hist, u_step, _INVERSION_POINTS)
     kappa = theorem_threshold(config.cutoff, _adaptive_C(values), config.ratio)
     phi_y, diag = mark_cf_estimate(grid, config.ratio, kappa)

@@ -182,8 +182,6 @@ def sample_innovation(params, marks, rng):
         When the marks or their sum overflow the float range.
     """
     count = int(rng.poisson(params.lambda_norm))
-    if count == 0:
-        return 0.0
     # an overflow gives an infinity or NaN, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         amplitudes = marks.sample(rng, count)
@@ -222,7 +220,7 @@ def _innovations(params, marks, count, rng):
     ``-alpha_norm * cap``; one ``bincount`` adds each interval's pulses in
     draw order from 0.0. Each chunk's draws depend only on the chunks
     before it, so the series at `n` is a prefix of the series at any
-    larger `n` (same seed and burn-in).
+    larger `n` (same seed).
 
     From ``lam_eff = 16`` up, the intervals are cut into chunks of
     ``max(1, int(8e6 / lam_eff))``; per chunk, in this order, come the
@@ -239,8 +237,6 @@ def _innovations(params, marks, count, rng):
     """
     cap = min(1.0, _AGE_CUTOFF / params.alpha_norm)
     lam_eff = params.lambda_norm * cap
-    if lam_eff == 0.0:
-        return np.zeros(count)
     if lam_eff < _POSITION_BELOW:
         return _innovations_by_position(params, marks, count, rng, cap, lam_eff)
     return _innovations_by_interval(params, marks, count, rng, cap, lam_eff)
@@ -309,12 +305,13 @@ def _carries_nothing(innov, decay):
     return bool(np.array_equal(step, innov[1:]))
 
 
-def simulate_series(params, marks, n, burn_in=None, seed=0):
+def simulate_series(params, marks, n, *, seed=0):
     """Simulate `n` stationary observations of the sampled shot noise.
 
     Runs the recursion ``X_{i+1} = exp(-alpha_norm) * X_i + W_{i+1}`` from
-    ``X_0 = 0``, discards `burn_in` steps, and returns the rest. Identical
-    arguments give bit-identical output.
+    ``X_0 = 0``, discards a burn-in of ``default_burn_in(params)`` steps,
+    which contracts the arbitrary start below exp(-40), and returns the
+    rest. Identical arguments give bit-identical output.
 
     The recursion runs through ``scipy.signal.lfilter``, except when
     ``exp(-alpha_norm) < 2**-53`` and one step ``W_{i+1} + exp(-alpha_norm)
@@ -330,11 +327,8 @@ def simulate_series(params, marks, n, burn_in=None, seed=0):
     marks : MarkDistribution
     n : int
         Number of returned observations, >= 1.
-    burn_in : int, optional
-        Discarded initial steps; defaults to ``max(64, ceil(40/alpha_norm))``
-        so the arbitrary start is contracted below exp(-40).
     seed : int
-        64-bit seed.
+        64-bit seed, keyword only.
 
     Returns
     -------
@@ -343,14 +337,12 @@ def simulate_series(params, marks, n, burn_in=None, seed=0):
     Raises
     ------
     ResourceLimitError
-        When ``n + burn_in`` exceeds the size cap, before anything is allocated.
+        When `n` plus the burn-in exceeds the size cap, before allocating.
     InvalidParameterError
         When the marks or their sums overflow the float range.
     """
     n = _check_count(n, "n")
-    if burn_in is None:
-        burn_in = default_burn_in(params)
-    burn_in = _check_count(burn_in, "burn_in", minimum=0)
+    burn_in = default_burn_in(params)
     if n + burn_in > _SIZE_CAP:
         raise ResourceLimitError(
             f"n = {n} observations after a burn-in of {burn_in} steps exceed the cap "

@@ -433,6 +433,38 @@ class TestEstimate:
         assert capsys.readouterr().err == "error: mark_cf must hold finite values only\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "model, estimator, message",
+        [
+            (
+                {"lambda": 1e-310, "alpha": 1.0, "delta": 1.0},
+                {"cutoff": 0.8},
+                "error: the ratio term u * phi_prime / (ratio * phi) overflows the float range "
+                "at ratio = 1e-310 and kappa = ",
+            ),
+            (
+                {"lambda": 2.0, "alpha": 1.0, "delta": 1.0},
+                {"cutoff": 5e-324},
+                "error: cutoff 5e-324 is too small: its frequency step cutoff/1024 underflows "
+                "to 0; use a cutoff above 2.53e-321\n",
+            ),
+        ],
+        ids=["ratio-term-overflow", "cutoff-step-underflow"],
+    )
+    def test_tiny_ratio_or_cutoff_exits_2_with_one_line(
+        self, tmp_path, capsys, model, estimator, message
+    ):
+        config = _gamma_config(tmp_path, model=model, estimator=estimator)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["estimate", "--config", str(config), *_series(tmp_path),
+                             "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(message) and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_too_fine_bin_width_exits_3(self, tmp_path, capsys):
         # about 5.3e5 bins: the chirp-z rounding misses phi(0) = 1 by more
         # than 1e-9, which is a numerical failure, not an input error

@@ -180,6 +180,13 @@ class TestMarkCfEstimate:
         with pytest.raises(InvalidParameterError):
             mark_cf_estimate("grid", 1.0, 0.5)
 
+    def test_overflowing_ratio_term_refused(self):
+        # u / ratio overflows at a subnormal ratio: an input error naming
+        # ratio and kappa, with no warning, not a non-finite mark CF
+        grid = gamma_ecf_grid(0.25, 4)
+        with pytest.raises(InvalidParameterError, match=r"ratio = 1e-310 and kappa = 0\.5"):
+            mark_cf_estimate(grid, 1e-310, 0.5)
+
 
 class TestInvertDensity:
     def test_point_mass_dirichlet_kernel(self):
@@ -331,6 +338,16 @@ class TestEstimateDensity:
         series = simulate_series(gamma_params, gamma_marks, 100, seed=0)
         with pytest.raises(InvalidParameterError):
             estimate_density(series, {"cutoff": 2.0})
+
+    def test_cutoff_with_underflowing_step_refused(self, gamma_params, gamma_marks):
+        # cutoff / 1024 rounds to 0 at or below 2**-1065
+        series = simulate_series(gamma_params, gamma_marks, 100, seed=0)
+        refused = r"^cutoff 5e-324 is too small.* above 2\.53e-321$"
+        with pytest.raises(InvalidParameterError, match=refused):
+            estimate_density(series, EstimatorConfig(ratio=2.0, cutoff=5e-324))
+        smallest = math.nextafter(2.0**-1065, 1)
+        estimate = estimate_density(series, EstimatorConfig(ratio=2.0, cutoff=smallest))
+        assert np.all(np.isfinite(estimate.theta_hat))
 
 
 

@@ -113,6 +113,21 @@ class TestSampleInnovation:
         assert draws.mean() == pytest.approx(REF_MEAN, abs=0.3)
         assert draws.var() == pytest.approx(REF_VAR, rel=0.08)
 
+    @pytest.mark.parametrize(
+        "marks",
+        [Exponential(1.0), GaussianMixture((0.4, 0.6), (1.0, 5.0), (0.5, 1.0)), PointMass(2.0)],
+        ids=["exponential", "mixture", "point-mass"],
+    )
+    def test_no_pulse_is_positive_zero_and_draws_nothing(self, marks):
+        # a Poisson count of 0 takes size-0 draws, which leave the generator
+        # as it was, and the empty sum is +0.0
+        params = ModelParams(0.1, 1.0, 0.1)
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        assert twin.poisson(params.lambda_norm) == 0
+        value = sample_innovation(params, marks, rng)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert rng.random() == twin.random()
+
     def test_point_mass_bounds(self):
         # every pulse contributes in (value * e^-alpha, value], so N pulses
         # sum to at most N * value
@@ -176,6 +191,18 @@ class TestSimulateSeries:
         series = simulate_series(params, Exponential(1.0), 100, seed=0)
         assert np.all(series.values == 0.0)
 
+    @pytest.mark.parametrize("alpha", [1.0, 80.0], ids=["filtered", "filter-skipped"])
+    def test_zero_intensity_series_is_positive_zeros(self, alpha):
+        # no pulse is drawn, and every interval's sum starts from +0.0
+        params = ModelParams(0.0, alpha, 0.0)
+        series = simulate_series(params, Exponential(1.0), 5_000, seed=1)
+        assert series.values.tobytes() == np.zeros(5_000).tobytes()
+
+    def test_seed_is_keyword_only(self, ref_params, ref_marks):
+        # a fourth positional argument cannot silently become the seed
+        with pytest.raises(TypeError):
+            simulate_series(ref_params, ref_marks, 10, 5)
+
     def test_invalid_n(self, ref_params, ref_marks):
         with pytest.raises(InvalidParameterError):
             simulate_series(ref_params, ref_marks, 0)
@@ -200,10 +227,6 @@ class TestSimulateSeries:
             default_burn_in(ModelParams(0.0, 1e-310, 0.0))
         with pytest.raises(ResourceLimitError, match="overflows"):
             simulate_series(ModelParams(0.0, 1e-310, 0.0), Exponential(1.0), 10)
-
-    def test_explicit_burn_in_recorded(self, ref_params, ref_marks):
-        series = simulate_series(ref_params, ref_marks, 10, burn_in=5, seed=1)
-        assert series.burn_in == 5
 
 
 _TWO_MODES = GaussianMixture((0.4, 0.6), (1.0, 5.0), (0.5, 1.0))
@@ -401,14 +424,14 @@ class TestBlockBoundaryPinning:
     """
 
     @pytest.mark.parametrize(
-        "params, marks, n, burn_in, seed, digest",
+        "params, marks, n, innovations_only, seed, digest",
         [
             (
                 # two outer chunks, about 150 blocks of intervals each
                 ModelParams(100.0, 80.0, 1.25),
                 _REF_MARKS,
                 200_000,
-                None,
+                False,
                 2025,
                 "37731ba856564a6a701695134ad4c1327fbf1b77827cfa7ad4bc3c5a6a4179e6",
             ),
@@ -418,25 +441,30 @@ class TestBlockBoundaryPinning:
                 ModelParams(1e-5, 1.0, 1e-5),
                 Exponential(1.0),
                 300_000,
-                None,
+                False,
                 13,
                 "0d798b8ab1cfce710781540a272d8373a68e7553ad2ed6103253ba0a157c58f2",
             ),
             (
-                # 80000 pulses per interval: every block is one interval
+                # 80000 pulses per interval: every block is one interval; the
+                # innovations alone, which the series skipping the filter
+                # returns as they are
                 ModelParams(2e5, 100.0, 2000.0),
                 Exponential(1.0),
                 40,
-                0,
+                True,
                 17,
                 "650f1534ea345873ef923fa5cd2ff131fd7877bca5d7fd157ca94ecbd7d21e16",
             ),
         ],
         ids=["reference-two-chunks", "low-rate-empty-blocks", "one-interval-blocks"],
     )
-    def test_series_digest(self, params, marks, n, burn_in, seed, digest):
-        series = simulate_series(params, marks, n, burn_in=burn_in, seed=seed)
-        assert _sha256(series.values) == digest
+    def test_series_digest(self, params, marks, n, innovations_only, seed, digest):
+        if innovations_only:
+            values = _innovations(params, marks, n, np.random.default_rng(seed))
+        else:
+            values = simulate_series(params, marks, n, seed=seed).values
+        assert _sha256(values) == digest
 
     @pytest.mark.parametrize(
         "marks, seed, digest",
