@@ -9,9 +9,10 @@ pipeline with reproducible, golden-file-stable outputs.
 The package root re-exports the names of the README examples and the three
 error classes; everything else is imported from its own module.
 
-Importing the package loads numpy alone. scipy is imported inside the
-functions that run its primitives (`lfilter`, `CZT`, quadrature), so a
-process pays for it only when it first simulates, transforms or integrates.
+Importing the package loads numpy alone. The chirp-z transforms run on
+`numpy.fft`, and scipy is imported only inside the functions that run its
+primitives (`lfilter`, quadrature), so a process pays for it only when it
+first filters a series or integrates; one that only estimates never does.
 """
 
 __version__ = "0.1.0"

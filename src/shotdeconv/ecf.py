@@ -278,21 +278,58 @@ def ecf_direct(sample, u):
     return phi, dphi
 
 
-def _czt_plan(n, m, w, a, remedy):
-    """Chirp-z plan of `n` inputs to `m` outputs, points ``a * w**-k``.
+def _next_fast_len(target):
+    """Smallest 2-, 3-, 5-, 7- and 11-smooth integer >= `target` (>= 1).
 
-    Refuses a plan whose internal FFT would exceed the size cap before
-    anything of that size exists; `remedy` tells the user what to change.
+    These are the complex FFT lengths that ``scipy.fft.next_fast_len(target,
+    real=False)`` returns. Each product of powers of 3, 5, 7 and 11 below
+    the best length so far is multiplied by the least power of 2 that
+    brings it to `target` or above.
     """
-    from scipy.fft import next_fast_len
-    from scipy.signal import CZT
+    best = 1 << (target - 1).bit_length()
+    f11 = 1
+    while f11 < best:
+        f7 = f11
+        while f7 < best:
+            f5 = f7
+            while f5 < best:
+                f3 = f5
+                while f3 < best:
+                    best = min(best, f3 << (-(-target // f3) - 1).bit_length())
+                    f3 *= 3
+                f5 *= 5
+            f7 *= 7
+        f11 *= 11
+    return best
 
-    fft_len = next_fast_len(n + m - 1, real=False)
+
+def _czt_plan(n, m, w, a, remedy):
+    """Chirp-z transform of `n` inputs to `m` outputs, points ``a * w**-k``.
+
+    Bluestein's algorithm as scipy 1.17.1's ``scipy.signal.CZT`` plans and
+    runs it, with the same numpy operations in the same order on
+    ``numpy.fft``, so the transform gives CZT's bits without importing
+    scipy. Refuses a plan whose internal FFT would exceed the size cap
+    before anything of that size exists; `remedy` tells the user what to
+    change.
+    """
+    fft_len = _next_fast_len(n + m - 1)
     if fft_len > _SIZE_CAP:
         raise ResourceLimitError(
             f"chirp-z transform would need an FFT of {fft_len} > {_SIZE_CAP} points; {remedy}"
         )
-    return CZT(n, m=m, w=w, a=a)
+    size = max(m, n)
+    # int32 while k**2 fits in it, as in scipy
+    k = np.arange(size, dtype=np.min_scalar_type(-size**2))
+    wk2 = w ** (k**2 / 2.0)
+    awk2 = (1.0 * a) ** -k[:n] * wk2[:n]
+    fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), fft_len)
+    wk2 = wk2[:m]
+
+    def transform(x):
+        return np.fft.ifft(fwk2 * np.fft.fft(x * awk2, fft_len))[n - 1:n + m - 1] * wk2
+
+    return transform
 
 
 def ecf_from_histogram(hist, u_step, half_count):

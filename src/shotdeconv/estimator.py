@@ -388,7 +388,8 @@ def estimate_density(sample, config):
     ------
     InvalidParameterError
         Among others, if the cutoff is so small that its frequency step
-        ``cutoff / 1024`` underflows to 0.
+        ``cutoff / 1024`` underflows to 0, or rounds down so far that 1024
+        steps fall short of the cutoff.
     """
     if not isinstance(config, EstimatorConfig):
         raise InvalidParameterError("config must be an EstimatorConfig")
@@ -409,6 +410,15 @@ def estimate_density(sample, config):
             f"cutoff {config.cutoff!r} is too small: its frequency step "
             f"cutoff/{_INVERSION_POINTS} underflows to 0; use a cutoff above "
             f"{_INVERSION_POINTS * 5e-324 / 2!r}"
+        )
+    if _INVERSION_POINTS * u_step < config.cutoff * (1.0 - 1e-12):
+        # a subnormal step can round down, so that its grid falls short of
+        # the cutoff; a step of at least the smallest normal double is exact
+        raise InvalidParameterError(
+            f"cutoff {config.cutoff!r} is too small: its frequency step "
+            f"cutoff/{_INVERSION_POINTS} rounds down to {u_step!r}, so the grid "
+            f"spans only {_INVERSION_POINTS * u_step!r}; use a cutoff of at least "
+            f"{_INVERSION_POINTS * _TINY!r}"
         )
     grid = ecf_from_histogram(hist, u_step, _INVERSION_POINTS)
     kappa = theorem_threshold(config.cutoff, _adaptive_C(values), config.ratio)

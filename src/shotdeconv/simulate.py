@@ -149,9 +149,8 @@ def _monte_carlo(worker, n_list, runs, base_seed, jobs=None):
     if workers <= 1:
         rows = [task(s) for s in seeds]
     else:
-        # import scipy.signal before the fork, so that no worker imports it
-        # again; it is the largest import of any worker. It stays even where
-        # the series skip lfilter: the table's workers still estimate (CZT)
+        # import scipy.signal before the fork, so that no worker that filters
+        # (lfilter) imports it again; it is the largest import of any worker
         import scipy.signal  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -448,8 +448,15 @@ class TestEstimate:
                 "error: cutoff 5e-324 is too small: its frequency step cutoff/1024 underflows "
                 "to 0; use a cutoff above 2.53e-321\n",
             ),
+            (
+                {"lambda": 2.0, "alpha": 1.0, "delta": 1.0},
+                {"cutoff": 7e-321},
+                "error: cutoff 7e-321 is too small: its frequency step cutoff/1024 rounds "
+                "down to 5e-324, so the grid spans only 5.06e-321; use a cutoff of at least "
+                "2.2784756311113742e-305\n",
+            ),
         ],
-        ids=["ratio-term-overflow", "cutoff-step-underflow"],
+        ids=["ratio-term-overflow", "cutoff-step-underflow", "cutoff-step-rounds-short"],
     )
     def test_tiny_ratio_or_cutoff_exits_2_with_one_line(
         self, tmp_path, capsys, model, estimator, message

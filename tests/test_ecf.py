@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from shotdeconv.ecf import (
     _SUM_BLOCK,
+    _czt_plan,
+    _next_fast_len,
     EcfGrid,
     Histogram,
     build_histogram,
@@ -19,7 +22,7 @@ from shotdeconv.ecf import (
     histogram_cf_bounds,
     _ecf_sup_gap,
 )
-from shotdeconv.errors import InvalidParameterError, ResourceLimitError
+from shotdeconv.errors import _SIZE_CAP, InvalidParameterError, ResourceLimitError
 from shotdeconv.estimator import EstimatorConfig, estimate_density
 from shotdeconv.model import _BLOCK, Exponential, ModelParams, PointMass
 
@@ -317,6 +320,56 @@ class TestEcfFromHistogram:
             ecf_from_histogram(hist, 0.0, 4)
         with pytest.raises(InvalidParameterError):
             ecf_from_histogram(hist, 0.1, 0)
+
+
+class TestCztPlan:
+    """The chirp-z plan gives scipy.signal.CZT's bits, on numpy.fft alone."""
+
+    @pytest.mark.parametrize(
+        "n, m, w, a",
+        [
+            # the ECF's shape: 4097 bins to 2049 points, a on the unit circle
+            (4097, 2049, np.exp(0.003j), np.exp(0.003j * 1024)),
+            # the inversion's shape: 2049 mark CF values to 2048 points, a = 1
+            (2049, 2048, np.exp(-0.011j), 1.0 + 0.0j),
+            (2049, 4097, np.exp(-0.011j), 1.0 + 0.0j),
+            (2049, 2049, np.exp(0.003j), np.exp(0.003j * 1024)),
+            # k**2 is int32 up to max(m, n) = 46340 and int64 from 46341 on
+            (46340, 2049, np.exp(1e-4j), np.exp(1e-4j * 1024)),
+            (46341, 2049, np.exp(1e-4j), np.exp(1e-4j * 1024)),
+            (2049, 46340, np.exp(-1e-4j), 1.0 + 0.0j),
+            (2049, 46341, np.exp(-1e-4j), 1.0 + 0.0j),
+        ],
+    )
+    def test_equals_scipy_czt_bit_for_bit(self, n, m, w, a):
+        from scipy.signal import CZT
+
+        rng = np.random.default_rng(n + m)
+        mass = rng.random(n)
+        transform = _czt_plan(n, m, w, a, "unused")
+        reference = CZT(n, m=m, w=w, a=a)
+        for x in (mass, mass * 1j * rng.random(n)):
+            assert transform(x).tobytes() == reference(x).tobytes()
+
+    def test_fft_length_equals_scipy_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        targets = list(range(1, 20_001))
+        targets += [int(t) for t in np.random.default_rng(5).integers(20_001, _SIZE_CAP, 200)]
+        targets += [_SIZE_CAP - 1, _SIZE_CAP, _SIZE_CAP + 1, 2 * _SIZE_CAP + 1]
+        mismatched = [t for t in targets if _next_fast_len(t) != next_fast_len(t, real=False)]
+        assert not mismatched, mismatched[:10]
+
+    def test_cap_refused_before_allocating(self):
+        # 2 inputs to _SIZE_CAP outputs need an FFT of _SIZE_CAP + 1 points or more
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"> {_SIZE_CAP} points; the remedy$"):
+                _czt_plan(2, _SIZE_CAP, np.exp(1e-9j), 1.0 + 0.0j, "the remedy")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestEcfGridType:

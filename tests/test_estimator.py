@@ -349,6 +349,20 @@ class TestEstimateDensity:
         estimate = estimate_density(series, EstimatorConfig(ratio=2.0, cutoff=smallest))
         assert np.all(np.isfinite(estimate.theta_hat))
 
+    @pytest.mark.parametrize("cutoff", [7e-321, 1e-312])
+    def test_cutoff_whose_step_rounds_short_refused(self, gamma_params, gamma_marks, cutoff):
+        # a subnormal cutoff / 1024 can round down, so that 1024 steps fall
+        # short of the cutoff; from 1024 times the smallest normal double on,
+        # the step is exact
+        series = simulate_series(gamma_params, gamma_marks, 100, seed=0)
+        refused = (rf"^cutoff {cutoff!r} is too small: its frequency step cutoff/1024 rounds "
+                   r"down to .*; use a cutoff of at least 2\.2784756311113742e-305$")
+        with pytest.raises(InvalidParameterError, match=refused):
+            estimate_density(series, EstimatorConfig(ratio=2.0, cutoff=cutoff))
+        for kept in (3e-321, 1e-310, 1024 * np.finfo(float).tiny):
+            estimate = estimate_density(series, EstimatorConfig(ratio=2.0, cutoff=kept))
+            assert np.all(np.isfinite(estimate.theta_hat))
+
 
 
 def _traced_peak_above_start(fn, *args):

@@ -5,7 +5,7 @@ The order is errors -> serialize -> model -> simulate -> ecf -> estimator
 exempt; ``cli`` may import ``__version__`` from it. The last tests check the
 names the benchmark's tracer wraps from outside the package, and the command
 lines the benchmark sends, and that one runner owns the Monte-Carlo pool.
-The package imports scipy only where a scipy primitive runs; the last three
+The package imports scipy only where a scipy primitive runs; the last four
 tests check which processes load it.
 """
 
@@ -182,9 +182,38 @@ print(json.dumps([codes, before, scipy()]))
     assert "scipy.signal" in after_gamma
 
 
+def test_estimating_loads_no_scipy(tmp_path):
+    # the chirp-z transforms run on numpy.fft, and the reference model's
+    # series skip the AR(1) filter, so a process that estimates from a file
+    # and runs the reference table inline loads no scipy module at all
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_perfbench("workloads").REF_CONFIG), encoding="utf-8")
+    code = """
+import json, sys
+from shotdeconv import cli
+from shotdeconv.bench import run_table1
+from shotdeconv.model import ModelParams, GaussianMixture
+config, data, out = sys.argv[1:]
+codes = [cli.main(["simulate", "--config", config, "--n", "20000", "--seed", "3",
+                   "--format", "f64le", "--out", data])]
+before = sorted(m for m in sys.modules if m.startswith("scipy"))
+codes.append(cli.main(["estimate", "--config", config, "--in", data + "/series.f64le",
+                       "--out", out]))
+marks = GaussianMixture((0.3, 0.5, 0.2), (4.0, 12.0, 22.0), (1.0, 1.0, 0.5))
+reports = run_table1(ModelParams(100.0, 80.0, 1.25), marks, n_list=(10_000,), runs=2, jobs=1)
+print(json.dumps([codes, before, reports[0].runs,
+                  sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+    out = _run_python(code, config, tmp_path / "data", tmp_path / "estimate")
+    codes, before, runs, loaded = json.loads(out.splitlines()[-1])
+    assert codes == [0, 0] and runs == 2
+    assert before == [] and loaded == [], loaded
+
+
 def test_refused_inversion_loads_no_scipy():
     # a frequency grid that does not span the cutoff is refused before the
-    # chirp-z plan, so the refusal does not import scipy.signal
+    # chirp-z plan computes its chirps; neither the refusal nor the plan,
+    # which runs on numpy.fft, loads scipy
     code = """
 import json, sys
 import numpy as np
