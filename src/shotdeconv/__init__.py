@@ -9,10 +9,11 @@ pipeline with reproducible, golden-file-stable outputs.
 The package root re-exports the names of the README examples and the three
 error classes; everything else is imported from its own module.
 
-Importing the package loads numpy alone. The chirp-z transforms run on
-`numpy.fft`, and scipy is imported only inside the functions that run its
-primitives (`lfilter`, quadrature), so a process pays for it only when it
-first filters a series or integrates; one that only estimates never does.
+Importing the package loads numpy alone. The chirp-z transforms
+(Bluestein's algorithm on real phases) run on `numpy.fft`, and scipy is
+imported only inside the functions that run its primitives (`lfilter`,
+quadrature), so a process pays for it only when it first filters a series
+or integrates; one that only estimates never does.
 """
 
 __version__ = "0.1.0"

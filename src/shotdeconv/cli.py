@@ -107,14 +107,14 @@ def _write(out, name, data):
 
 def _read_series_file(path):
     if path.endswith(".f64le"):
+        # mapped, not read: the values never get a heap copy
         try:
-            with open(path, "rb") as handle:
-                data = handle.read()
+            size = os.path.getsize(path)
+            if size == 0 or size % 8:
+                _fail(f"{path} is not a whole number of little-endian float64 values")
+            values = np.memmap(path, dtype="<f8", mode="r")
         except OSError as exc:
             _fail(f"could not read series file {path}: {exc}")
-        if len(data) == 0 or len(data) % 8:
-            _fail(f"{path} is not a whole number of little-endian float64 values")
-        values = np.frombuffer(data, dtype="<f8")
     else:
         try:
             with warnings.catch_warnings():

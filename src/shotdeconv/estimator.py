@@ -88,8 +88,9 @@ class EstimatorConfig:
         Histogram bin width; None picks about 4096 bins over the sample
         range.
     x_grid : XGrid or None, optional
-        Evaluation grid; None covers ``[0, 1.2 * q_999(sample) / ratio]``
-        with 2048 points.
+        Evaluation grid; None covers ``[0, 1.2 * q / ratio]`` with 2048
+        points, where q is the upper edge of the first histogram bin at
+        which the cumulative mass reaches 0.999.
     renormalize : bool, optional
         Rescale the clamped estimate to unit Riemann integral.
     """
@@ -298,9 +299,7 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, diagnostics=None):
             f"frequency span {span:g} overflows; shift or rescale the x_grid"
         )
     omega = x_grid.step * step
-    transform = _czt_plan(
-        values.size, x_grid.count, np.exp(-1j * omega), 1.0 + 0.0j, "reduce the x_grid count"
-    )
+    transform = _czt_plan(values.size, x_grid.count, -omega, 0.0, "reduce the x_grid count")
     u = np.arange(-half, half + 1) * step
     inside = np.abs(u) <= cutoff * (1.0 + 1e-12)
     g = np.where(inside, values, 0.0)
@@ -326,47 +325,18 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, diagnostics=None):
 # defaults tying the discretization to the cutoff and sample range
 _INVERSION_POINTS = 1024
 _DEFAULT_X_COUNT = 2048
-_X_GRID_QUANTILE = 0.999
+_X_GRID_MASS = 0.999
 
 
-def _histogram_quantile(values, hist, q):
-    """``np.quantile(values, q)`` (its default 'linear' rule), from the top bins.
+def _default_x_grid(hist, ratio):
+    """``[0, 1.2 * q / ratio]`` with 2048 points, or ``[0, 1]`` when that is empty.
 
-    The histogram of `values` shows which bin the order statistics at and
-    above rank ``floor((n - 1) q)`` start in; only the values from one bin
-    below it up are selected and partitioned, about ``(1 - q) n`` of them.
-    Interpolation repeats numpy's arithmetic, the upper neighbour capped at
-    the largest value as in numpy, so the result equals numpy's bit for bit,
-    up to the sign of a zero.
+    q is the histogram's 0.999 point: the upper edge of the first bin at
+    which the cumulative mass reaches 0.999.
     """
-    n = values.size
-    virtual = (n - 1) * q
-    low = math.floor(virtual)
-    high = min(low + 1, n - 1)
-    counts_from_top = np.cumsum(np.rint(hist.mass[::-1] * n))
-    # one bin of margin covers the rounding of x / w and l * w at every bin
-    # index below 2**52, which `build_histogram` ensures
-    first_bin = hist.mass.size - 2 - int(np.searchsorted(counts_from_top, n - low))
-    top = values
-    if first_bin > 0:
-        top = values[values >= (hist.l_min + first_bin) * hist.bin_width]
-    offset = top.size - n
-    part = np.partition(top, (low + offset, high + offset))
-    a = float(part[low + offset])
-    b = float(part[high + offset])
-    t = virtual - low
-    diff = b - a
-    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
-
-
-def _default_x_grid(values, hist, ratio):
-    """``[0, 1.2 * q_999 / ratio]`` with 2048 points, or ``[0, 1]`` when that is empty.
-
-    The 0.999 quantile is computed exactly, equal to ``np.quantile``, from
-    the histogram's top bins: only about a thousandth of the sample is
-    partitioned.
-    """
-    hi = 1.2 * _histogram_quantile(values, hist, _X_GRID_QUANTILE) / ratio
+    top = int(np.searchsorted(np.cumsum(hist.mass), _X_GRID_MASS))
+    q = (hist.l_min + top + 1) * hist.bin_width
+    hi = 1.2 * q / ratio
     if not (math.isfinite(hi) and hi > 0):
         hi = 1.0
     return XGrid(0.0, hi / (_DEFAULT_X_COUNT - 1), _DEFAULT_X_COUNT)
@@ -388,8 +358,8 @@ def estimate_density(sample, config):
     ------
     InvalidParameterError
         Among others, if the cutoff is so small that its frequency step
-        ``cutoff / 1024`` underflows to 0, or rounds down so far that 1024
-        steps fall short of the cutoff.
+        ``cutoff / 1024`` rounds down so far (to 0 included) that 1024 steps
+        fall short of the cutoff.
     """
     if not isinstance(config, EstimatorConfig):
         raise InvalidParameterError("config must be an EstimatorConfig")
@@ -404,13 +374,6 @@ def estimate_density(sample, config):
             "pass a smaller bin_width"
         )
     u_step = config.cutoff / _INVERSION_POINTS
-    if u_step == 0.0:
-        # a quotient of half the smallest subnormal or less rounds to 0
-        raise InvalidParameterError(
-            f"cutoff {config.cutoff!r} is too small: its frequency step "
-            f"cutoff/{_INVERSION_POINTS} underflows to 0; use a cutoff above "
-            f"{_INVERSION_POINTS * 5e-324 / 2!r}"
-        )
     if _INVERSION_POINTS * u_step < config.cutoff * (1.0 - 1e-12):
         # a subnormal step can round down, so that its grid falls short of
         # the cutoff; a step of at least the smallest normal double is exact
@@ -423,7 +386,7 @@ def estimate_density(sample, config):
     grid = ecf_from_histogram(hist, u_step, _INVERSION_POINTS)
     kappa = theorem_threshold(config.cutoff, _adaptive_C(values), config.ratio)
     phi_y, diag = mark_cf_estimate(grid, config.ratio, kappa)
-    x_grid = config.x_grid if config.x_grid is not None else _default_x_grid(values, hist, config.ratio)
+    x_grid = config.x_grid if config.x_grid is not None else _default_x_grid(hist, config.ratio)
     estimate = invert_density(phi_y, u_step, config.cutoff, x_grid, diagnostics=diag)
     if config.renormalize:
         total = float(estimate.theta_hat.sum() * x_grid.step)

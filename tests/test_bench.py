@@ -188,7 +188,7 @@ class TestRunTable1:
         reports = run_table1(ref_params, ref_marks, n_list=(2_000, 40_000), runs=3, base_seed=7)
         text = reports_to_csv(reports) + per_run_errors_to_csv(reports)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "2f2d4e1dbe9ada4febf66907c58fbde29714d91cec554f9f8bf1cfa3eecab163"
+            "5208f03176b0ce78f930b79adef4f330685fb954b96e8162bfcdeeada371d180"
         )
 
     def test_rejects_single_run(self, gamma_params, gamma_marks):

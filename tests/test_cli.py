@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shotdeconv import cli, estimator
+from shotdeconv import cli, ecf, estimator
 from shotdeconv.bench import McReport
 from shotdeconv.errors import NumericalFailure
 from shotdeconv.estimator import EstimatorConfig, XGrid, density_to_csv, estimate_density
@@ -445,8 +445,9 @@ class TestEstimate:
             (
                 {"lambda": 2.0, "alpha": 1.0, "delta": 1.0},
                 {"cutoff": 5e-324},
-                "error: cutoff 5e-324 is too small: its frequency step cutoff/1024 underflows "
-                "to 0; use a cutoff above 2.53e-321\n",
+                "error: cutoff 5e-324 is too small: its frequency step cutoff/1024 rounds "
+                "down to 0.0, so the grid spans only 0.0; use a cutoff of at least "
+                "2.2784756311113742e-305\n",
             ),
             (
                 {"lambda": 2.0, "alpha": 1.0, "delta": 1.0},
@@ -472,9 +473,25 @@ class TestEstimate:
         assert err.startswith(message) and err.count("\n") == 1, err
         assert not out.exists()
 
-    def test_too_fine_bin_width_exits_3(self, tmp_path, capsys):
-        # about 5.3e5 bins: the chirp-z rounding misses phi(0) = 1 by more
-        # than 1e-9, which is a numerical failure, not an input error
+    def test_fine_bin_width_estimates(self, tmp_path):
+        # about 5.3e5 bins: the chirp-z ECF still holds its exact values
+        config = _gamma_config(tmp_path, estimator={"cutoff": 2.0, "bin_width": 3e-5})
+        code = cli.main(["estimate", "--config", str(config), *_series(tmp_path, 100_000, seed=1),
+                         "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert (tmp_path / "o" / "estimate.csv").exists()
+
+    def test_too_fine_bin_width_exits_3(self, tmp_path, capsys, monkeypatch):
+        # an ECF that misses phi(0) = 1 by more than 1e-9 is a numerical
+        # failure, not an input error; the plan stays at rounding at every
+        # bin count, so its output is scaled by 1 + 1e-8 here
+        real = ecf._czt_plan
+
+        def perturbed(*args):
+            transform = real(*args)
+            return lambda x: transform(x) * (1.0 + 1e-8)
+
+        monkeypatch.setattr(ecf, "_czt_plan", perturbed)
         config = _gamma_config(tmp_path, estimator={"cutoff": 2.0, "bin_width": 3e-5})
         code = cli.main(["estimate", "--config", str(config), *_series(tmp_path, 100_000, seed=1),
                          "--out", str(tmp_path / "o")])
@@ -633,9 +650,9 @@ class TestEstimateOutputPinning:
 
     The series is the reference model's (lambda 100, alpha 80, three-mode
     mixture) at n = 50 000 and seed 2024, written by `shotdeconv simulate`
-    as f64le and read back. The default x-grid runs the 0.999 quantile and
-    the default bin width the 4096-bin histogram. Recorded with numpy 2.4
-    and scipy 1.17 on x86-64 with AVX-512; any change to the histogram, the
+    as f64le and read back. The default x-grid ends at the histogram's
+    0.999 edge and the default bin width gives the 4096-bin histogram.
+    Recorded with numpy 2.4 on x86-64 with AVX-512; any change to the histogram, the
     ECF, the threshold, the inversion or the writers that is not bit for bit
     neutral changes these bytes.
     """
@@ -655,13 +672,13 @@ class TestEstimateOutputPinning:
         [
             (
                 {"cutoff": 0.8},
-                "6ed010d36d535f0a80d045c594aaf1e129e2196c90d18484bdcd20e5efae7f93",
-                "6e990c7e24e3474f9ad94c23aa3ece1b9cbbe698884254f253a32615d6a9e972",
+                "3643f8637cac17a6205227cc721c5b55bec80252d7387b8f20c11ea54e3fd1b4",
+                "f56630b1bcdb131db1fce7df0a9dc8f51332dac3b797e7ba03e556fee16cd4eb",
             ),
             (
                 {"cutoff": 0.8, "bin_width": 0.05},
-                "c29cc37039f53c7a51df31eb0c803dd7a6105de9d041e8e766ed725a07ad8a40",
-                "a455f829702f5ea0795683c5f8966f8006bb2a064a3f5a40746ddc037530b36f",
+                "4dd95f45a7094b15ed909b275af70b3d6345f568bd9002bc7f87f89728d0ebfa",
+                "0bb26a5a2962142501bc40f21a58efd6dd123ab8acf427c74c36512f9fa5a06f",
             ),
         ],
         ids=["adaptive", "bin-width"],
@@ -1062,6 +1079,23 @@ class TestSeriesReader:
             tracemalloc.stop()
         assert np.array_equal(read, values)
         assert peak - start < size + 2**19
+
+    def test_f64le_is_mapped_not_read(self, tmp_path):
+        # the file is memory-mapped, so a 1e6-value (8 MB) input puts
+        # nothing of its size on the heap
+        values = np.random.default_rng(3).gamma(3.0, 4.0, 1_000_000)
+        path = tmp_path / "series.f64le"
+        path.write_bytes(values.astype("<f8").tobytes())
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            read = cli._read_series_file(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(read, values)
+        assert peak - start < 2**20
 
     @pytest.mark.parametrize("suffix", ["f64le", "csv"])
     @pytest.mark.parametrize("position", [1, _BLOCK + 3, 2 * _BLOCK + 5])

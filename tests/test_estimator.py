@@ -14,7 +14,6 @@ from shotdeconv.estimator import (
     DensityEstimate,
     EstimatorConfig,
     XGrid,
-    _histogram_quantile,
     adaptive_C,
     default_hill_k,
     density_to_csv,
@@ -318,6 +317,24 @@ class TestEstimateDensity:
         assert est.x_grid[0] == 0.0
         assert est.x_grid.size == 2048
 
+    @pytest.mark.parametrize(
+        "values, end",
+        [
+            # 99.8% of the mass in bin 0, the 0.999 point crossed in bin 3:
+            # its upper edge 4, not np.quantile's 3.5
+            ([0.5] * 9980 + [3.5] * 15 + [9.5] * 5, 1.2 * 4.0 / 2.0),
+            # a constant sample: one bin of width 1, [5, 6)
+            ([5.3] * 10, 1.2 * 6.0 / 2.0),
+            # a negative edge leaves the grid empty: [0, 1] instead
+            ([-3.5, -2.5], 1.0),
+        ],
+        ids=["crossing-bin", "constant", "negative"],
+    )
+    def test_default_x_grid_ends_at_the_histogram_edge(self, values, end):
+        est = estimate_density(np.array(values), EstimatorConfig(ratio=2.0, cutoff=2.0, bin_width=1.0))
+        assert est.x_grid[0] == 0.0 and est.x_grid.size == 2048
+        assert est.x_grid[-1] == pytest.approx(end, rel=1e-12)
+
     def test_explicit_bin_width(self, gamma_params, gamma_marks):
         series = simulate_series(gamma_params, gamma_marks, 2_000, seed=3)
         a = estimate_density(series, EstimatorConfig(ratio=2.0, cutoff=2.0, bin_width=0.01))
@@ -340,9 +357,11 @@ class TestEstimateDensity:
             estimate_density(series, {"cutoff": 2.0})
 
     def test_cutoff_with_underflowing_step_refused(self, gamma_params, gamma_marks):
-        # cutoff / 1024 rounds to 0 at or below 2**-1065
+        # cutoff / 1024 rounds to 0 at or below 2**-1065, which the rounding
+        # check refuses with the safe bound
         series = simulate_series(gamma_params, gamma_marks, 100, seed=0)
-        refused = r"^cutoff 5e-324 is too small.* above 2\.53e-321$"
+        refused = (r"^cutoff 5e-324 is too small: its frequency step cutoff/1024 rounds down "
+                   r"to 0\.0, .*; use a cutoff of at least 2\.2784756311113742e-305$")
         with pytest.raises(InvalidParameterError, match=refused):
             estimate_density(series, EstimatorConfig(ratio=2.0, cutoff=5e-324))
         smallest = math.nextafter(2.0**-1065, 1)
@@ -390,44 +409,11 @@ class TestEstimatePathMemory:
         assert _traced_peak_above_start(build_histogram, sample) < 2 * 2**20
 
     def test_estimate_density_peak(self, sample):
-        # the default x-grid runs the quantile and its 1 B/sample mask too
+        # the default x-grid reads only the histogram
         cfg = EstimatorConfig(ratio=1.25, cutoff=0.8)
         # a first call fills the FFT plan caches
         estimate_density(sample, cfg)
         assert _traced_peak_above_start(estimate_density, sample, cfg) < 2 * 2**20
-
-
-class TestHistogramQuantile:
-    """The default x-grid's quantile equals np.quantile, read from the top bins."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        values=st.one_of(
-            st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=400),
-            # heavy ties, negative values
-            st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=400),
-            # constant samples
-            st.builds(lambda v, n: [v] * n, st.floats(min_value=-1e3, max_value=1e3), st.integers(1, 50)),
-        ),
-        q=st.one_of(st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.999, 1.0]), st.floats(0.0, 1.0)),
-        bins=st.one_of(st.none(), st.integers(1, 5000)),
-    )
-    @example(values=[1.0], q=0.999, bins=None)
-    @example(values=[-2.0, 3.0], q=0.999, bins=None)
-    @example(values=[3.0, -2.0], q=0.5, bins=7)
-    def test_equals_numpy(self, values, q, bins):
-        arr = np.array(values)
-        span = float(arr.max() - arr.min())
-        hist = build_histogram(arr, None if bins is None or span == 0 else span / bins)
-        assert _histogram_quantile(arr, hist, q) == np.quantile(arr, q)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_large_rounded_sample(self, seed):
-        rng = np.random.default_rng(seed)
-        arr = np.round(rng.gamma(2.0, 3.0, 200_000), 2) - 4.0
-        hist = build_histogram(arr)
-        for q in (0.9, 0.99, 0.999):
-            assert _histogram_quantile(arr, hist, q) == np.quantile(arr, q)
 
 
 class TestSampleValidation:
