@@ -18,6 +18,7 @@ import numpy as np
 from .ecf import build_histogram, ecf_from_histogram
 from .errors import InvalidParameterError, _check_count, _check_number
 from .estimator import (
+    DensityEstimate,
     EstimatorConfig,
     XGrid,
     adaptive_C,
@@ -140,9 +141,17 @@ class McReport:
 
 
 def _table_error(config, params, marks, n, seed):
-    """Monte-Carlo worker: one simulate-estimate-error cycle."""
+    """Monte-Carlo worker: simulate, estimate, rescale to unit Riemann mass
+    where `table_renormalize(n)` holds, and take the sup error.
+    """
     series = simulate_series(params, marks, n, seed=seed)
-    return sup_error(estimate_density(series, config), marks)
+    estimate = estimate_density(series, config)
+    if table_renormalize(n):
+        total = float(estimate.theta_hat.sum() * config.x_grid.step)
+        if total > 0:
+            theta = estimate.theta_hat / total
+            estimate = DensityEstimate(estimate.x_grid, theta, estimate.diagnostics)
+    return sup_error(estimate, marks)
 
 
 def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
@@ -150,13 +159,14 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
     """Monte-Carlo sup-error table over sample sizes.
 
     For each entry of `n_list`, simulates `runs` independent series, estimates
-    the mark density with the calibrated settings of that size
-    (`table_cutoff`, `table_renormalize`, the automatic bin width) and
-    aggregates sup-norm errors against the true pdf on 2048 points of
-    [0, 30]. Each size is its own one-size table on `simulate._monte_carlo`,
-    so run `r` has the same seed at every size (common random numbers across
-    tiers) and each report depends only on `base_seed` and its own `n`,
-    never on `jobs` or on which other sizes were requested.
+    the mark density with the calibrated cutoff of that size (`table_cutoff`)
+    and the automatic bin width, rescales it to unit mass where
+    `table_renormalize` says so, and aggregates sup-norm errors against the
+    true pdf on 2048 points of [0, 30]. Each size is its own one-size table
+    on `simulate._monte_carlo`, so run `r` has the same seed at every size
+    (common random numbers across tiers) and each report depends only on
+    `base_seed` and its own `n`, never on `jobs` or on which other sizes
+    were requested.
 
     Parameters
     ----------
@@ -177,12 +187,7 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
     reports = []
     for n in n_list:
         n = _check_count(n, "n")
-        config = EstimatorConfig(
-            ratio=params.ratio,
-            cutoff=table_cutoff(n),
-            x_grid=_TABLE_X_GRID,
-            renormalize=table_renormalize(n),
-        )
+        config = EstimatorConfig(ratio=params.ratio, cutoff=table_cutoff(n), x_grid=_TABLE_X_GRID)
         start = time.perf_counter()
         (errors,) = _monte_carlo(
             partial(_table_error, config, params, marks), (n,), runs, base_seed, jobs
@@ -197,7 +202,7 @@ def run_table1(params, marks, n_list=(10_000, 100_000, 1_000_000), runs=100,
                 "C": "adaptive",
                 "kappa": "theorem",
                 "bin_width": "auto",
-                "renormalize": config.renormalize,
+                "renormalize": table_renormalize(n),
             },
             "x_grid": asdict(_TABLE_X_GRID),
         }

@@ -229,7 +229,7 @@ def build_parser():
     seed(p_table)
     p_table.add_argument("--runs", type=int, default=100, help="Monte-Carlo replicates")
     p_table.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: every CPU this process may use)")
+                         help="upper bound on worker processes (default: every CPU this process may use)")
 
     seed(command("audit", _cmd_audit, "CF lower-bound audit; needs a smoothness section"))
 

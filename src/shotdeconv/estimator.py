@@ -75,7 +75,8 @@ class EstimatorConfig:
     The threshold is not a setting: the CF ratio is divided only where the
     ECF modulus exceeds ``kappa = C * (1 + cutoff) ** (-2 * ratio)``
     (`theorem_threshold`), with the adaptive constant
-    ``C = exp(-sample mean) / 2`` (`adaptive_C`).
+    ``C = exp(-sample mean) / 2`` (`adaptive_C`). Nor is a rescaling to
+    unit mass: the estimate is the clamped inversion as it stands.
 
     Parameters
     ----------
@@ -91,15 +92,12 @@ class EstimatorConfig:
         Evaluation grid; None covers ``[0, 1.2 * q / ratio]`` with 2048
         points, where q is the upper edge of the first histogram bin at
         which the cumulative mass reaches 0.999.
-    renormalize : bool, optional
-        Rescale the clamped estimate to unit Riemann integral.
     """
 
     ratio: float
     cutoff: float
     bin_width: float | None = None
     x_grid: XGrid | None = None
-    renormalize: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "ratio", _check_number(self.ratio, "ratio", gt=0))
@@ -108,10 +106,6 @@ class EstimatorConfig:
             object.__setattr__(self, "bin_width", _check_number(self.bin_width, "bin_width", gt=0))
         if self.x_grid is not None and not isinstance(self.x_grid, XGrid):
             raise InvalidParameterError("x_grid must be an XGrid or None")
-        if not isinstance(self.renormalize, bool):
-            raise InvalidParameterError(
-                f"renormalize must be True or False, got {self.renormalize!r}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,6 +347,7 @@ def estimate_density(sample, config):
     Returns
     -------
     DensityEstimate
+        `invert_density`'s clamped estimate, not rescaled to unit mass.
 
     Raises
     ------
@@ -387,13 +382,7 @@ def estimate_density(sample, config):
     kappa = theorem_threshold(config.cutoff, _adaptive_C(values), config.ratio)
     phi_y, diag = mark_cf_estimate(grid, config.ratio, kappa)
     x_grid = config.x_grid if config.x_grid is not None else _default_x_grid(hist, config.ratio)
-    estimate = invert_density(phi_y, u_step, config.cutoff, x_grid, diagnostics=diag)
-    if config.renormalize:
-        total = float(estimate.theta_hat.sum() * x_grid.step)
-        if total > 0:
-            theta = estimate.theta_hat / total
-            estimate = DensityEstimate(estimate.x_grid, theta, estimate.diagnostics)
-    return estimate
+    return invert_density(phi_y, u_step, config.cutoff, x_grid, diagnostics=diag)
 
 
 def default_hill_k(n):

@@ -118,12 +118,12 @@ def derive_seed(base_seed, *indices):
 
 
 def _resolve_jobs(jobs):
-    """Worker processes for `jobs`; None means every CPU this process may use."""
-    if jobs is not None:
-        return _check_count(jobs, "jobs")
+    """Worker processes for `jobs`, capped at the CPUs this process may use (None: all of them)."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return cpus if jobs is None else min(_check_count(jobs, "jobs"), cpus)
 
 
 def _one_run(worker, n_list, seeds):
@@ -136,12 +136,12 @@ def _monte_carlo(worker, n_list, runs, base_seed, jobs=None):
 
     Run `run` at size ``n_list[tier]`` gets ``seed = derive_seed(base_seed,
     tier, run)``. One task is one run at every size, on up to `jobs` worker
-    processes; None means every CPU this process may use. One worker runs
-    inline, with no pool; under fork a pool starts all its workers at its
-    first task, so it gets no more workers than tasks. The runs come back
-    in run order, so the table does not depend on `jobs` when `worker` is
-    pure (and picklable, for a pool). Every worker has exited when this
-    returns.
+    processes and never more than the CPUs this process may use; None means
+    all of them. One worker runs inline, with no pool; under fork a pool
+    starts all its workers at its first task, so it gets no more workers
+    than tasks. The runs come back in run order, so the table does not
+    depend on `jobs` when `worker` is pure (and picklable, for a pool).
+    Every worker has exited when this returns.
     """
     workers = min(_resolve_jobs(jobs), runs)
     task = partial(_one_run, worker, n_list)

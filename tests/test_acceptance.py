@@ -56,9 +56,7 @@ TABLE_HALF_WIDTH = 0.035
 # Frozen mode-recovery run: cutoff and seed chosen once from a scan of the
 # production path; criterion 10 reruns this exact configuration.
 MODE_SEED = 90
-MODE_CONFIG = EstimatorConfig(
-    ratio=1.25, cutoff=0.95, bin_width=None, x_grid=TABLE_GRID, renormalize=False,
-)
+MODE_CONFIG = EstimatorConfig(ratio=1.25, cutoff=0.95, bin_width=None, x_grid=TABLE_GRID)
 
 
 def _emit(capsys, name, ok, detail):

@@ -8,6 +8,7 @@ import pytest
 from shotdeconv import simulate
 from shotdeconv.bench import (
     _CUTOFF_ANCHORS,
+    _TABLE_X_GRID,
     McReport,
     loglog_slope,
     per_run_errors_to_csv,
@@ -20,9 +21,10 @@ from shotdeconv.bench import (
     table_renormalize,
 )
 from shotdeconv.errors import InvalidParameterError
-from shotdeconv.estimator import DensityEstimate
+from shotdeconv.estimator import DensityEstimate, EstimatorConfig, estimate_density
 from shotdeconv.model import Exponential, SmoothnessConfig
 from shotdeconv.serialize import dumps_json
+from shotdeconv.simulate import derive_seed, simulate_series
 
 
 def _mk_estimate(x, theta):
@@ -160,7 +162,9 @@ class TestLoglogSlope:
 
 
 class TestRunTable1:
-    def test_deterministic_and_jobs_invariant(self, gamma_params, gamma_marks):
+    def test_deterministic_and_jobs_invariant(self, gamma_params, gamma_marks, monkeypatch):
+        # two usable CPUs, so that jobs=2 runs a pool on any host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         kwargs = dict(n_list=(400,), runs=3, base_seed=11)
         a = run_table1(gamma_params, gamma_marks, jobs=1, **kwargs)
         b = run_table1(gamma_params, gamma_marks, jobs=1, **kwargs)
@@ -191,6 +195,21 @@ class TestRunTable1:
             "5208f03176b0ce78f930b79adef4f330685fb954b96e8162bfcdeeada371d180"
         )
 
+    def test_renormalized_tier_rescales_to_unit_mass(self, ref_params, ref_marks):
+        # below 10**4.5 each per-run error is that of the estimate rescaled by hand
+        n = 2_000
+        assert table_renormalize(n)
+        (report,) = run_table1(ref_params, ref_marks, n_list=(n,), runs=2, base_seed=7, jobs=1)
+        config = EstimatorConfig(ref_params.ratio, table_cutoff(n), x_grid=_TABLE_X_GRID)
+        step = _TABLE_X_GRID.step
+        for run, error in enumerate(report.per_run_errors):
+            series = simulate_series(ref_params, ref_marks, n, seed=derive_seed(7, 0, run))
+            est = estimate_density(series, config)
+            theta = est.theta_hat / float(est.theta_hat.sum() * step)
+            assert float(theta.sum() * step) == pytest.approx(1.0, abs=1e-12)
+            rescaled = DensityEstimate(est.x_grid, theta, est.diagnostics)
+            assert error.hex() == sup_error(rescaled, ref_marks).hex()
+
     def test_rejects_single_run(self, gamma_params, gamma_marks):
         with pytest.raises(InvalidParameterError):
             run_table1(gamma_params, gamma_marks, n_list=(100,), runs=1)
@@ -219,7 +238,7 @@ def pool_sizes(monkeypatch):
 
 
 class TestJobs:
-    """`jobs=None` means every CPU this process may use; 1 worker runs inline."""
+    """`jobs=None` means every CPU this process may use, which also caps `jobs`."""
 
     KWARGS = dict(n_list=(300, 400), runs=3, base_seed=11)
 
@@ -250,8 +269,15 @@ class TestJobs:
         run_table1(gamma_params, gamma_marks, **self.KWARGS)
         assert pool_sizes == sizes
 
-    def test_pool_capped_at_task_count(self, gamma_params, gamma_marks, pool_sizes):
+    def test_pool_capped_at_task_count(self, gamma_params, gamma_marks, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         run_table1(gamma_params, gamma_marks, n_list=(300,), runs=2, jobs=10_000)
+        assert pool_sizes == [2]
+
+    def test_pool_capped_at_usable_cpus(self, gamma_params, gamma_marks, monkeypatch, pool_sizes):
+        # a pool starts all its workers at once, so jobs above the CPUs would fork idle ones
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        run_table1(gamma_params, gamma_marks, n_list=(300,), runs=5, jobs=10_000)
         assert pool_sizes == [2]
 
     @pytest.mark.parametrize("jobs", [0, -1, 2.0, True, "2"])

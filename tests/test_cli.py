@@ -538,6 +538,12 @@ class TestEstimate:
                          "--out", str(out)]) == 0
         diagnostics = json.loads((out / "diagnostics.json").read_text())
         assert diagnostics["fraction_thresholded"] == (1.0 if shift < 0 else 0.0)
+        if shift < 0:
+            assert diagnostics["warning"] == (
+                "every grid point was thresholded; estimate is the bare inversion kernel"
+            )
+        else:
+            assert "warning" not in diagnostics
 
     def test_huge_magnitude_series_exits_2(self, tmp_path, capsys):
         config = _gamma_config(tmp_path)
@@ -959,7 +965,7 @@ def _estimate_with(tmp_path, path, value):
 class TestConfigValueTypes:
     """A wrongly typed config value exits 2 with the library's own check."""
 
-    # (key, its name in the error message, kind): every number, count and flag
+    # (key, its name in the error message, kind): every number and count
     # setting of the config; "optional" numbers take null as "unset"
     KEYS = [
         ("model.lambda", "lambda_phys", "number"),
@@ -967,13 +973,12 @@ class TestConfigValueTypes:
         ("model.delta", "delta", "number"),
         ("estimator.cutoff", "cutoff", "number"),
         ("estimator.bin_width", "bin_width", "optional"),
-        ("estimator.renormalize", "renormalize", "flag"),
         ("estimator.x_grid.start", "start", "number"),
         ("estimator.x_grid.step", "step", "number"),
         ("estimator.x_grid.count", "count", "count"),
     ]
 
-    # values no number, count or flag accepts
+    # values no number or count accepts
     _never = st.one_of(
         st.booleans(),
         st.sampled_from(["1", "2.5", "nan", "abc", "", "true"]),
@@ -989,11 +994,6 @@ class TestConfigValueTypes:
             st.none(), _never,
             st.floats(min_value=1.0, max_value=600.0),
             st.integers(1, 600).map(float),
-        ),
-        # numbers are not flags either
-        "flag": st.one_of(
-            st.none(), st.sampled_from([0, 1, 0.0, 1.0, "no", "yes", "false"]),
-            st.lists(st.booleans(), max_size=2),
         ),
     }
 
@@ -1011,8 +1011,9 @@ class TestConfigValueTypes:
 
     # Each used to crash with a raw ValueError (exit 1) or to be read as
     # another value: "no" as True, 2.5 as 2, true as 1.0 and 2000.7 as 2000.
-    # s, kappa and kappa_exponent are no longer settings, and seed and n are
-    # set only by flags, so their values are refused as an unknown key instead.
+    # s, kappa, kappa_exponent and renormalize are no longer settings (Table 1's
+    # rescaling to unit mass belongs to `run_table1`), and seed and n are set
+    # only by flags, so their values are refused as an unknown key instead.
     @pytest.mark.parametrize(
         ("path", "value", "name"),
         [
@@ -1033,7 +1034,7 @@ class TestConfigValueTypes:
     def test_former_crash_or_misread_exits_2(self, tmp_path, capsys, path, value, name):
         assert _estimate_with(tmp_path, path, value) == 2
         err = capsys.readouterr().err
-        if name in ("s", "kappa", "kappa_exponent"):
+        if name in ("s", "kappa", "kappa_exponent", "renormalize"):
             assert f"unknown fields [{name!r}] in config.estimator" in err, err
         elif name in ("seed", "n"):
             assert f"unknown fields [{name!r}] in config" in err, err

@@ -430,6 +430,11 @@ class TestHistogramCfBounds:
         b1, b2 = histogram_cf_bounds(hist, 2.0)
         assert b1 == pytest.approx(0.5 * 0.5 * 2.0)
         assert b2 > 0
+        # an array of frequencies gives arrays, each entry the scalar bound
+        u = np.array([-2.0, 0.0, 2.0])
+        a1, a2 = histogram_cf_bounds(hist, u)
+        assert isinstance(a1, np.ndarray) and isinstance(a2, np.ndarray)
+        assert a1.tolist() == [b1, 0.0, b1] and a2[[0, 2]].tolist() == [b2, b2]
 
     def test_bounds_hold_randomized(self):
         # the acceptance suite runs 200 triples; this is a quick spot check

@@ -77,8 +77,6 @@ class TestLibraryCases:
             lambda: EstimatorConfig(ratio=True, cutoff=1.0),
             lambda: XGrid(0.0, 0.1, 2.9),
             lambda: ecf_from_histogram(build_histogram(np.arange(10.0), 1.0), 0.1, 3.7),
-            lambda: EstimatorConfig(ratio=1.0, cutoff=1.0, renormalize="no"),
-            lambda: EstimatorConfig(ratio=1.0, cutoff=1.0, renormalize=1),
             lambda: theorem_threshold(1.0, "0.5", 1.0),
             lambda: theorem_cutoff(1000.0, 1.0, 1.0),
             lambda: hill_ratio(np.arange(1.0, 20.0), k=3.0),
@@ -88,7 +86,7 @@ class TestLibraryCases:
         ],
         ids=[
             "config-ratio-None", "xgrid-step-None", "threshold-C-None", "config-ratio-True",
-            "xgrid-count-2.9", "half_count-3.7", "renormalize-no", "renormalize-1",
+            "xgrid-count-2.9", "half_count-3.7",
             "C-string", "bandwidth-n-float", "hill-k-float", "normalize-string",
             "smoothness-None", "stream-index-negative",
         ],

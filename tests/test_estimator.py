@@ -65,11 +65,9 @@ class TestXGrid:
 class TestEstimatorConfig:
     def test_defaults(self):
         cfg = EstimatorConfig(ratio=1.25, cutoff=0.8)
-        assert cfg.bin_width is None and cfg.x_grid is None and cfg.renormalize is False
-        # the threshold is not a setting
-        assert [f.name for f in fields(cfg)] == [
-            "ratio", "cutoff", "bin_width", "x_grid", "renormalize",
-        ]
+        assert cfg.bin_width is None and cfg.x_grid is None
+        # neither the threshold nor a rescaling to unit mass is a setting
+        assert [f.name for f in fields(cfg)] == ["ratio", "cutoff", "bin_width", "x_grid"]
 
     def test_ratio_strictly_positive(self):
         with pytest.raises(InvalidParameterError):
@@ -301,14 +299,6 @@ class TestEstimateDensity:
         away = est.x_grid >= 1.0
         assert np.max(np.abs(est.theta_hat - truth)[away]) < 0.35
         assert set(est.diagnostics) >= {"fraction_thresholded", "min_abs_ecf", "imag_residual"}
-
-    def test_renormalize_unit_mass(self, gamma_params, gamma_marks):
-        series = simulate_series(gamma_params, gamma_marks, 5_000, seed=7)
-        cfg = EstimatorConfig(
-            ratio=2.0, cutoff=2.0, x_grid=XGrid(0.0, 0.01, 1201), renormalize=True
-        )
-        est = estimate_density(series, cfg)
-        assert float(est.theta_hat.sum() * 0.01) == pytest.approx(1.0, abs=1e-9)
 
     def test_default_x_grid(self, gamma_params, gamma_marks):
         series = simulate_series(gamma_params, gamma_marks, 2_000, seed=3)

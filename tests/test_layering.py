@@ -232,8 +232,10 @@ print(json.dumps([message, sorted(m for m in sys.modules if m.startswith("scipy"
 
 def test_pooled_workers_inherit_scipy_signal():
     # the runner imports scipy.signal before its pool forks, so no worker
-    # imports it again; this worker only reports whether it is loaded
+    # imports it again; this worker only reports whether it is loaded. Two
+    # usable CPUs, so that jobs=2 runs a pool on any host.
     code = """
+import os
 import sys
 from shotdeconv.simulate import _monte_carlo
 
@@ -241,6 +243,7 @@ def loaded(n, seed):
     return "scipy.signal" in sys.modules
 
 if __name__ == "__main__":
+    os.sched_getaffinity = lambda pid: {0, 1}
     print(_monte_carlo(loaded, (1, 2), 4, 0, jobs=2))
 """
     assert _run_python(code).splitlines()[-1] == str([[True] * 4] * 2)

@@ -367,6 +367,12 @@ class TestCfLowerBound:
             cf_lower_bound(cfg, params, 4.0), rel=1e-14
         )
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, [0.0, -math.inf]])
+    def test_non_finite_u_rejected(self, u):
+        cfg = SmoothnessConfig(1.0, 10.0, 1.0, 1.0)
+        with pytest.raises(InvalidParameterError, match="u must be finite"):
+            cf_lower_bound(cfg, ModelParams(1.0, 1.0, 1.0), u)
+
     def test_true_cf_respects_bound_for_gamma(self, gamma_params, gamma_marks):
         cfg = SmoothnessConfig(1.0, 121.0, 0.378, 1.0)
         u = np.linspace(-8.0, 8.0, 33)
@@ -459,6 +465,14 @@ class TestJsonSerde:
     )
     def test_json_text_golden(self, marks, text):
         assert dumps_json(marks_to_json(marks)) == text
+
+    def test_unsupported_law_rejected(self):
+        # the type name is looked up by exact class, so a subclass has none
+        class Scaled(Exponential):
+            pass
+
+        with pytest.raises(InvalidParameterError, match="unsupported mark distribution Scaled"):
+            marks_to_json(Scaled(1.0))
 
     def test_unknown_type_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown marks type"):

@@ -77,13 +77,13 @@ class TestCsvText:
 
 class TestDumpsJson:
     def test_scalars_and_nesting(self):
-        text = dumps_json({"a": 1, "b": [0.5, None, True], "c": {"d": "x"}})
+        text = dumps_json({"a": 1, "b": [0.5, None, True, False], "c": {"d": "x"}})
         assert text == (
-            '{\n  "a": 1,\n  "b": [\n    0.5,\n    null,\n    true\n  ],\n'
+            '{\n  "a": 1,\n  "b": [\n    0.5,\n    null,\n    true,\n    false\n  ],\n'
             '  "c": {\n    "d": "x"\n  }\n}\n'
         )
         # valid JSON as far as the stdlib is concerned
-        assert json.loads(text) == {"a": 1, "b": [0.5, None, True], "c": {"d": "x"}}
+        assert json.loads(text) == {"a": 1, "b": [0.5, None, True, False], "c": {"d": "x"}}
 
     def test_preserves_insertion_order(self):
         assert dumps_json({"z": 1, "a": 2}).index('"z"') < dumps_json({"z": 1, "a": 2}).index('"a"')

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -80,7 +81,9 @@ class TestMonteCarlo:
             for tier, n in enumerate(self.N_LIST)
         ]
 
-    def test_pool_equals_inline_and_leaves_no_worker(self):
+    def test_pool_equals_inline_and_leaves_no_worker(self, monkeypatch):
+        # two usable CPUs, so that jobs=2 runs a pool on any host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         inline = _monte_carlo(_size_and_seed, self.N_LIST, 5, 3, jobs=1)
         assert _monte_carlo(_size_and_seed, self.N_LIST, 5, 3, jobs=2) == inline
         assert multiprocessing.active_children() == []
