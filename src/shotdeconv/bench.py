@@ -229,18 +229,12 @@ def loglog_slope(n_values, errors):
         raise InvalidParameterError("n and errors must be strictly positive for log-log fit")
     x = np.log(n_arr)
     y = np.log(e_arr)
-    x_center = x - x.mean()
-    sxx = float(np.sum(x_center**2))
-    if sxx == 0.0:
+    if np.ptp(x) == 0:
         raise InvalidParameterError("n values must not all be equal")
-    slope = float(np.sum(x_center * y) / sxx)
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (intercept + slope * x)
-    dof = x.size - 2
-    if dof <= 0:
-        return slope, 0.0
-    s2 = float(np.sum(resid**2)) / dof
-    return slope, 1.96 * math.sqrt(s2 / sxx)
+    if x.size == 2:
+        return float(np.polyfit(x, y, 1)[0]), 0.0
+    (slope, _), cov = np.polyfit(x, y, 1, cov=True)
+    return float(slope), 1.96 * math.sqrt(cov[0, 0])
 
 
 def run_lower_bound_audit(params, marks, smoothness, seed=20_240):

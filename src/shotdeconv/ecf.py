@@ -297,10 +297,10 @@ def _czt_plan(n, m, omega, theta, remedy):
         )
     k = np.arange(max(m, n), dtype=float)
     half_sq = k * k / 2
+    chirp = np.exp(1j * omega * half_sq)
     pre = np.exp(1j * (omega * half_sq[:n] - theta * k[:n]))
-    post = np.exp(1j * omega * half_sq[:m])
-    lag_half_sq = np.hstack((half_sq[n - 1:0:-1], half_sq[:m]))
-    kernel = np.fft.fft(np.exp(-1j * omega * lag_half_sq), fft_len)
+    post = chirp[:m]
+    kernel = np.fft.fft(np.conj(np.hstack((chirp[n - 1:0:-1], post))), fft_len)
 
     def transform(x):
         return np.fft.ifft(kernel * np.fft.fft(x * pre, fft_len))[n - 1:n + m - 1] * post

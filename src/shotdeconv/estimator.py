@@ -231,14 +231,14 @@ def mark_cf_estimate(grid, ratio, kappa):
     return values, diagnostics
 
 
-def invert_density(mark_cf, u_step, cutoff, x_grid, diagnostics=None):
+def invert_density(mark_cf, u_step, cutoff, x_grid):
     """Truncated Fourier inversion of an estimated mark CF, clamped at zero.
 
     Evaluates the Riemann sum of ``(2 pi)^-1 * integral of exp(-i x u) *
     mark_cf(u)`` over grid points with ``|u| <= cutoff``, for every `x` in
     `x_grid`, via a chirp-z transform. The imaginary residual of the
-    unclamped sum is recorded in diagnostics and must stay below 1e-6 of
-    the real part's sup.
+    unclamped sum is the result's one diagnostic, ``imag_residual``, and
+    must stay below 1e-6 of the real part's sup.
 
     Parameters
     ----------
@@ -249,9 +249,6 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, diagnostics=None):
     cutoff : float
         Truncation limit; the grid must span ``[-cutoff, cutoff]``.
     x_grid : XGrid
-    diagnostics : dict, optional
-        Upstream diagnostics to carry through (thresholding statistics);
-        the result's diagnostics hold these plus ``imag_residual``.
 
     Returns
     -------
@@ -305,9 +302,7 @@ def invert_density(mark_cf, u_step, cutoff, x_grid, diagnostics=None):
     sup_real = float(np.max(np.abs(raw.real)))
     imag_residual = float(np.max(np.abs(raw.imag)) / max(sup_real, 1e-300))
     theta = np.maximum(raw.real, 0.0)
-    diag = dict(diagnostics or {})
-    diag["imag_residual"] = imag_residual
-    estimate = DensityEstimate(x_grid.values, theta, diag)
+    estimate = DensityEstimate(x_grid.values, theta, {"imag_residual": imag_residual})
     if not imag_residual < 1e-6:
         raise NumericalFailure(
             f"imaginary residual {imag_residual:g} of the inversion integral is not below 1e-6",
@@ -347,7 +342,9 @@ def estimate_density(sample, config):
     Returns
     -------
     DensityEstimate
-        `invert_density`'s clamped estimate, not rescaled to unit mass.
+        `invert_density`'s clamped estimate, not rescaled to unit mass;
+        its diagnostics are `mark_cf_estimate`'s followed by
+        ``imag_residual``.
 
     Raises
     ------
@@ -382,7 +379,8 @@ def estimate_density(sample, config):
     kappa = theorem_threshold(config.cutoff, _adaptive_C(values), config.ratio)
     phi_y, diag = mark_cf_estimate(grid, config.ratio, kappa)
     x_grid = config.x_grid if config.x_grid is not None else _default_x_grid(hist, config.ratio)
-    return invert_density(phi_y, u_step, config.cutoff, x_grid, diagnostics=diag)
+    est = invert_density(phi_y, u_step, config.cutoff, x_grid)
+    return DensityEstimate(est.x_grid, est.theta_hat, {**diag, **est.diagnostics})
 
 
 def default_hill_k(n):
