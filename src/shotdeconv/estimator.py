@@ -294,7 +294,8 @@ def invert_density(mark_cf, u_step, cutoff, x_grid):
     u = np.arange(-half, half + 1) * step
     inside = np.abs(u) <= cutoff * (1.0 + 1e-12)
     g = np.where(inside, values, 0.0)
-    # one chirp-z transform evaluates sum_j g_j exp(-i x u_j) on the whole x grid
+    # one chirp-z transform evaluates sum_j g_j exp(-i x u_j) on the whole x
+    # grid; the x-origin phase stays outside the plan, exactly conjugate at -u
     g = g * np.exp(-1j * x_grid.start * u)
     spectrum = transform(g)
     spectrum *= np.exp(1j * omega * np.arange(x_grid.count) * half)

@@ -192,7 +192,7 @@ class TestRunTable1:
         reports = run_table1(ref_params, ref_marks, n_list=(2_000, 40_000), runs=3, base_seed=7)
         text = reports_to_csv(reports) + per_run_errors_to_csv(reports)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "5208f03176b0ce78f930b79adef4f330685fb954b96e8162bfcdeeada371d180"
+            "e170756a1fca98d4813c116999a3b8c0357e7566d0355f3b5068194f00205881"
         )
 
     def test_renormalized_tier_rescales_to_unit_mass(self, ref_params, ref_marks):

@@ -678,13 +678,13 @@ class TestEstimateOutputPinning:
         [
             (
                 {"cutoff": 0.8},
-                "3643f8637cac17a6205227cc721c5b55bec80252d7387b8f20c11ea54e3fd1b4",
-                "f56630b1bcdb131db1fce7df0a9dc8f51332dac3b797e7ba03e556fee16cd4eb",
+                "1997f531deeafdb20cdf8b980b28f1e556ce4ef3312fe32fb7b44e04b59f9f21",
+                "8bbf322c6bda525aa1b729fe78278fa63f62c69214c86b52729f33e36efef18b",
             ),
             (
                 {"cutoff": 0.8, "bin_width": 0.05},
-                "4dd95f45a7094b15ed909b275af70b3d6345f568bd9002bc7f87f89728d0ebfa",
-                "0bb26a5a2962142501bc40f21a58efd6dd123ab8acf427c74c36512f9fa5a06f",
+                "da437baa3068d572ee095be8ab0728078e6f7447f74931699bd8cacdcfa7bb5c",
+                "e0ce6a3105d700cdcb4d9348a71f178c6057e2a0e54806b84a2d8622262f1ef8",
             ),
         ],
         ids=["adaptive", "bin-width"],

@@ -25,6 +25,7 @@ from shotdeconv.ecf import (
 from shotdeconv.errors import _SIZE_CAP, InvalidParameterError, ResourceLimitError
 from shotdeconv.estimator import EstimatorConfig, estimate_density
 from shotdeconv.model import _BLOCK, Exponential, ModelParams, PointMass
+from shotdeconv.simulate import simulate_series
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -293,6 +294,18 @@ class TestEcfFromHistogram:
         phi, dphi = ecf_direct(binned, grid.u[j])
         assert np.max(np.abs(grid.phi[j] - phi)) <= 1e-12
         assert np.max(np.abs(grid.phi_prime[j] - dphi)) <= 1e-12 * np.max(np.abs(dphi))
+
+    def test_negative_half_is_the_exact_conjugate(self):
+        # 290048 bins near Nyquist: the two computed halves differ by up to
+        # 1e-10, within the tolerance, and the returned u < 0 half is the
+        # conjugate of u > 0 to the bit
+        values = simulate_series(ModelParams(2.0, 1.0, 2.0), Exponential(1.0), 10_000, seed=5).values
+        width = float(np.ptp(values)) / 290048
+        cutoff = 0.8693914217229596 * math.pi / width
+        grid = ecf_from_histogram(build_histogram(values, width), cutoff / 1024, 1024)
+        h = grid.half_count
+        assert np.array_equal(grid.phi[:h], np.conj(grid.phi[:h:-1]))
+        assert np.array_equal(grid.phi_prime[:h], -np.conj(grid.phi_prime[:h:-1]))
 
     def test_grid_frequencies(self):
         hist = build_histogram(np.array([0.5, 1.5]), 1.0)
